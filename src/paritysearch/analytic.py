@@ -237,7 +237,8 @@ def monte_carlo_success_probability(
 
     Each trial draws an independent size-n_samples sample set and runs
     the majority vote.  Trial RNG streams are spawned from (seed, trial
-    index), so the estimate does not depend on execution order.
+    index), so the estimate does not depend on execution order.  Each is
+    built as `SeedSequence.spawn` would, but only when its trial runs.
     """
     _check_predicate(model, pred)
     if n_samples < 1:
@@ -246,9 +247,12 @@ def monte_carlo_success_probability(
         raise DomainError(f"trial count must be >= 1, got {trials}")
     pvec = per_sample_distribution(model, pred)
     pvec = pvec / pvec.sum()
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     successes = 0
-    for stream in streams:
+    for i in range(trials):
+        stream = np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+        )
         rng = np.random.default_rng(stream)
         counts = rng.multinomial(n_samples, pvec)
         frequencies = {j + 1: int(c) for j, c in enumerate(counts) if c > 0}

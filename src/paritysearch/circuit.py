@@ -168,7 +168,11 @@ def run_circuit(
     capture: bool = False,
     cap: int | None = None,
 ) -> CircuitRun:
-    """Execute the circuit; with capture, snapshot the state after each step."""
+    """Execute the circuit; with capture, snapshot the state after each step.
+
+    Capture applies every gate record literally.  Without it, step 6 runs
+    as one inversion about average per register, equal to its records.
+    """
     records = build_circuit(params, pred, cap=cap)
     layout = layout_for(params)
     state = sv.zero_state(layout.total_qubits, cap=cap)
@@ -183,6 +187,10 @@ def run_circuit(
     snapshot_after = {"step2b": "step2", "step3": "step3", "step4": "step4",
                       "step5": "step5", "step6": "step6"}
     for step in STEP_ORDER:
+        if step == "step6" and not capture:
+            for i in range(1, layout.n_samples + 1):
+                sv.apply_inversion_about_average(state, layout.sample_qubits(i))
+            continue
         for record in by_step[step]:
             apply_record(state, record)
         if capture and step in snapshot_after:
@@ -198,7 +206,8 @@ def measure_samples(
     """Draw one item per sample register from its exact marginal.
 
     Registers are unentangled after the final step, so per-register
-    marginals reproduce the joint measurement distribution.
+    marginals reproduce the joint measurement distribution.  One joint
+    marginal over all sample qubits is summed down to each register's.
     """
     if final_state.n_qubits != layout.total_qubits:
         raise DomainError(
@@ -206,9 +215,12 @@ def measure_samples(
         )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
+    joint = sv.marginal_distribution(final_state, layout.all_sample_qubits())
+    joint = joint.reshape((layout.n_items,) * layout.n_samples)
     values = []
-    for i in range(1, layout.n_samples + 1):
-        marg = sv.marginal_distribution(final_state, layout.sample_qubits(i))
+    # Register i is the digit of weight N**(i-1), axis n_samples - i.
+    for axis in reversed(range(layout.n_samples)):
+        marg = joint.sum(axis=tuple(a for a in range(layout.n_samples) if a != axis))
         marg = marg / marg.sum()
         values.append(int(rng.choice(layout.n_items, p=marg)) + 1)
     return SampleTuple(tuple(values))

@@ -9,6 +9,11 @@ Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
 value or a bit pattern, bit b of the value corresponds to the b-th
 qubit in the list.  Gates mutate the state in place and return it.
+
+They act on basic-indexing views of the amplitudes reshaped to one
+length-2 axis per qubit.  The only temporary is the matching
+subspace (a flip's selected amplitudes, or one register mean per setting
+of the other qubits); marginals contract a float view of the state.
 """
 
 from __future__ import annotations
@@ -107,16 +112,14 @@ class StateVector:
                 f"amplitude vector of length {amplitudes.shape} does not match {n_qubits} qubits"
             )
         self.n_qubits = n_qubits
-        self.amplitudes = amplitudes
+        # The gates write through reshaped views, which need this layout.
+        self.amplitudes = np.ascontiguousarray(amplitudes, dtype=np.complex128)
 
     def copy(self) -> StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
 
 
 def zero_state(n_qubits: int, cap: int | None = None) -> StateVector:
@@ -137,13 +140,16 @@ def _check_qubit(state: StateVector, qubit: int) -> None:
 
 
 def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
-    """Apply the 2x2 Hadamard on one qubit."""
+    """Apply the 2x2 Hadamard on one qubit, in place."""
     _check_qubit(state, qubit)
     v = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    lo = v[:, 0, :].copy()
+    lo = v[:, 0, :]
     hi = v[:, 1, :]
-    v[:, 0, :] = (lo + hi) * _INV_SQRT2
-    v[:, 1, :] = (lo - hi) * _INV_SQRT2
+    # (lo + hi, lo - hi) / sqrt2; one contiguous scale beats two strided.
+    lo += hi
+    hi *= -2.0
+    hi += lo
+    v *= _INV_SQRT2
     return state
 
 
@@ -164,22 +170,12 @@ def _validate_controls(state: StateVector, controls: Sequence[int], value: int) 
         raise DomainError(f"control value {value} does not fit {len(controls)} controls")
 
 
-def _matching_indices(n_qubits: int, controls: Sequence[int], value: int, skip: int | None = None) -> np.ndarray:
-    """Basis indices whose control bits spell `value` (and bit `skip` is 0).
-
-    Built by depositing the free bits around the fixed ones, so the
-    allocation is proportional to the number of matching states.
-    """
-    fixed = set(controls) | ({skip} if skip is not None else set())
-    base = 0
+def _control_index(n_qubits: int, controls: Sequence[int], value: int) -> list:
+    """Index into the (2,)*n view (qubit q is axis n-1-q) fixing each control."""
+    index: list = [slice(None)] * n_qubits
     for b, q in enumerate(controls):
-        base |= ((value >> b) & 1) << q
-    free = [q for q in range(n_qubits) if q not in fixed]
-    idx = np.full(1 << len(free), base, dtype=np.int64)
-    enum = np.arange(1 << len(free), dtype=np.int64)
-    for b, q in enumerate(free):
-        idx |= ((enum >> b) & 1) << q
-    return idx
+        index[n_qubits - 1 - q] = (value >> b) & 1
+    return index
 
 
 def apply_value_controlled_flip(
@@ -190,12 +186,17 @@ def apply_value_controlled_flip(
     _validate_controls(state, controls, value)
     if target in controls:
         raise DomainError(f"target qubit {target} overlaps the controls")
-    i0 = _matching_indices(state.n_qubits, controls, value, skip=target)
-    i1 = i0 | (1 << target)
-    amps = state.amplitudes
-    tmp = amps[i0].copy()
-    amps[i0] = amps[i1]
-    amps[i1] = tmp
+    psi = state.amplitudes.reshape((2,) * state.n_qubits)
+    index = _control_index(state.n_qubits, controls, value)
+    axis = state.n_qubits - 1 - target
+    # The trailing Ellipsis keeps a writable 0-d view when every axis is fixed.
+    index[axis] = 0
+    lo = psi[(*index, ...)]
+    index[axis] = 1
+    hi = psi[(*index, ...)]
+    held = lo.copy()
+    lo[...] = hi
+    hi[...] = held
     return state
 
 
@@ -204,24 +205,26 @@ def apply_value_controlled_phase(
 ) -> StateVector:
     """Multiply by -1 the amplitudes whose control bits spell `value`."""
     _validate_controls(state, controls, value)
-    idx = _matching_indices(state.n_qubits, controls, value)
-    state.amplitudes[idx] *= -1.0
+    index = _control_index(state.n_qubits, controls, value)
+    state.amplitudes.reshape((2,) * state.n_qubits)[(*index, ...)] *= -1.0
     return state
 
 
 def apply_inversion_about_average(
     state: StateVector, register_qubits: Sequence[int]
 ) -> StateVector:
-    """Apply H...H * diag(-1,1,...,1) * H...H on the register.
+    """Apply I - 2|s><s| on the register, |s> its uniform state.
 
-    Equals I - 2|s><s| on the register (|s> the uniform state): the
-    textbook diffusion times a global phase of -1.
+    Equals H...H * diag(-1,1,...,1) * H...H on the register, the textbook
+    diffusion times a global phase of -1: every amplitude loses twice the
+    mean over the register's values with the other qubits held fixed.
     """
-    for q in register_qubits:
-        apply_hadamard(state, q)
-    apply_value_controlled_phase(state, register_qubits, 0)
-    for q in register_qubits:
-        apply_hadamard(state, q)
+    _validate_controls(state, register_qubits, 0)
+    n = state.n_qubits
+    w = state.amplitudes.reshape((2,) * n)
+    mean = w.mean(axis=tuple(n - 1 - q for q in register_qubits), keepdims=True)
+    mean *= 2.0
+    w -= mean
     return state
 
 
@@ -235,15 +238,12 @@ def marginal_distribution(state: StateVector, qubits: Sequence[int]) -> np.ndarr
     for q in qubits:
         _check_qubit(state, q)
     n = state.n_qubits
-    probs = state.probabilities().reshape([2] * n)
-    keep = {n - 1 - q for q in qubits}
-    drop = tuple(a for a in range(n) if a not in keep)
-    reduced = probs.sum(axis=drop) if drop else probs
-    # Remaining axes run over descending qubit number; reorder so that the
-    # flattened index follows the requested qubit order.
-    remaining = sorted(keep)
-    perm = [remaining.index(n - 1 - q) for q in reversed(qubits)]
-    return reduced.transpose(perm).reshape(-1)
+    # Axis n holds (real, imaginary); the output axes run from the last
+    # requested qubit to the first, so qubits[0] is the low bit.
+    parts = state.amplitudes.view(np.float64).reshape((2,) * (n + 1))
+    axes = list(range(n + 1))
+    keep = [n - 1 - q for q in reversed(qubits)]
+    return np.einsum(parts, axes, parts, axes, keep).reshape(-1)
 
 
 def fidelity_mod_phase(a: StateVector, b: StateVector) -> float:

@@ -91,3 +91,37 @@ def success_by_tuple_enumeration(
             counts[v] = counts.get(v, 0) + 1
         total += weight * _tie_credit(counts, marked, tie_break)
     return total
+
+
+def matching_indices(n_qubits: int, controls, value: int, skip=None) -> np.ndarray:
+    """Basis indices whose control bits spell `value` (and bit `skip` is 0).
+
+    Built by depositing the free bits around the fixed ones, one int64
+    index per matching basis state.
+    """
+    fixed = set(controls) | ({skip} if skip is not None else set())
+    base = 0
+    for b, q in enumerate(controls):
+        base |= ((value >> b) & 1) << q
+    free = [q for q in range(n_qubits) if q not in fixed]
+    idx = np.full(1 << len(free), base, dtype=np.int64)
+    enum = np.arange(1 << len(free), dtype=np.int64)
+    for b, q in enumerate(free):
+        idx |= ((enum >> b) & 1) << q
+    return idx
+
+
+def eager_monte_carlo_estimate(pvec, marked, n_samples, trials, seed, tie_break) -> float:
+    """Majority success rate with every trial stream spawned up front."""
+    successes = 0
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        counts = rng.multinomial(n_samples, pvec)
+        best = counts.max()
+        tied = [j + 1 for j, c in enumerate(counts) if c == best]
+        if tie_break == "lowest_index":
+            winner = tied[0]
+        else:
+            winner = tied[int(rng.integers(len(tied)))]
+        successes += winner in marked
+    return successes / trials

@@ -1,10 +1,12 @@
 """Closed-form amplitudes, success probabilities, and the Monte Carlo estimator."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from helpers import (
+    eager_monte_carlo_estimate,
     success_by_composition_enumeration,
     success_by_tuple_enumeration,
 )
@@ -293,6 +295,27 @@ class TestMonteCarlo:
                     )
                     tolerance = 4 * max(mc.std_error, math.sqrt(0.25 / 2000))
                     assert abs(mc.estimate - exact) <= tolerance
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    def test_streams_match_eager_spawn(self, tie):
+        model = amplitudes(8, 3)
+        pred = BooleanPredicate.from_marks(8, [2, 5, 8])
+        pvec = per_sample_distribution(model, pred)
+        pvec = pvec / pvec.sum()
+        for seed in (0, 1, 7, 12345, 2**40 + 3):
+            mc = monte_carlo_success_probability(model, pred, 4, trials=300, seed=seed, tie_break=tie)
+            assert mc.estimate == eager_monte_carlo_estimate(pvec, pred.marks, 4, 300, seed, tie)
+
+    def test_memory_does_not_grow_with_trials(self):
+        model = amplitudes(2, 1)
+        pred = BooleanPredicate.from_marks(2, [1])
+        tracemalloc.start()
+        try:
+            monte_carlo_success_probability(model, pred, 1, trials=20_000, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_trial_validation(self):
         model = amplitudes(2, 1)

@@ -151,6 +151,18 @@ class TestRunCircuit:
             fid = fidelity_mod_phase(run.intermediates["step6"], expected)
             assert fid >= 1 - FIDELITY_ATOL
 
+    def test_one_pass_step6_matches_literal_gates(self):
+        # Without capture step 6 is one inversion about average per
+        # register; with capture it is the literal H/phase/H records.
+        for n, etas in ((2, range(1, 5)), (4, range(1, 4)), (8, range(1, 3))):
+            for eta in etas:
+                params = SearchParameters(n, eta)
+                for mask in range(2**n):
+                    pred = BooleanPredicate.from_mask(n, mask)
+                    fast = run_circuit(params, pred).final_state
+                    literal = run_circuit(params, pred, capture=True).final_state
+                    assert fidelity_mod_phase(fast, literal) >= 1 - FIDELITY_ATOL
+
     def test_certain_success_marginal(self):
         # One marked item out of four leaves zero unmarked amplitude.
         params = SearchParameters(4, 1)
@@ -184,6 +196,27 @@ class TestMeasurement:
         a = measure_samples(final, layout, rng=123)
         b = measure_samples(final, layout, rng=123)
         assert a == b
+
+    def test_joint_marginal_draws_match_per_register_draws(self):
+        # Summing one joint marginal down per register must feed
+        # rng.choice the same distributions, in the same order, as taking
+        # each register's marginal from the state.  The registers get
+        # different random amplitudes so that their order shows.
+        rng = np.random.default_rng(5)
+        for n, eta in [(2, 5), (4, 3), (8, 2)]:
+            layout = layout_for(SearchParameters(n, eta))
+            amps = np.ones(1 << (n + 1), dtype=complex)
+            for _ in range(eta):
+                single = rng.normal(size=n) + 1j * rng.normal(size=n)
+                amps = np.kron(amps, single / np.linalg.norm(single))
+            final = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
+            for seed in range(10):
+                rng = np.random.default_rng(seed)
+                expected = []
+                for i in range(1, eta + 1):
+                    marg = marginal_distribution(final, layout.sample_qubits(i))
+                    expected.append(int(rng.choice(n, p=marg / marg.sum())) + 1)
+                assert measure_samples(final, layout, rng=seed).values == tuple(expected)
 
     def test_zero_unmarked_amplitude_forces_marked_samples(self):
         params = SearchParameters(4, 3)

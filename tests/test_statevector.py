@@ -1,10 +1,12 @@
 """Simulator primitives checked against dense-matrix ground truth."""
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
 import pytest
+from helpers import matching_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -144,9 +146,106 @@ class TestControlledGates:
         apply_value_controlled_phase(state, [0, 1], 0)
         assert np.allclose(state.amplitudes, expected, atol=NORM_ATOL)
 
+    def test_strided_real_amplitudes(self):
+        # Gates write through reshaped views, so the state must own a
+        # contiguous complex copy of a strided or real input.
+        backing = np.zeros(8)
+        backing[2] = 1.0  # every other entry: |01>
+        state = StateVector(2, backing[::2])
+        apply_value_controlled_flip(state, [0], 1, 1)
+        assert np.allclose(state.amplitudes, [0, 0, 0, 1])
+        assert np.allclose(marginal_distribution(state, [1]), [0, 1])
+
     def test_phase_value_must_fit(self):
         with pytest.raises(DomainError):
             apply_value_controlled_phase(zero_state(2), [0], 2)
+
+
+class TestGatesAgainstIndexOracle:
+    """Views must touch exactly the basis states the index arithmetic names.
+
+    Drawn cases include controls plus target covering every qubit, where
+    the views are 0-d.
+    """
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_flip_matches_index_swap(self, seed, data):
+        n = data.draw(st.integers(2, 6))
+        order = data.draw(st.permutations(range(n)))
+        k = data.draw(st.integers(0, n - 1))
+        controls, target = list(order[:k]), order[k]
+        value = data.draw(st.integers(0, (1 << k) - 1))
+        state = random_state(n, seed)
+        expected = state.amplitudes.copy()
+        i0 = matching_indices(n, controls, value, skip=target)
+        i1 = i0 | (1 << target)
+        expected[i0], expected[i1] = state.amplitudes[i1], state.amplitudes[i0]
+        apply_value_controlled_flip(state, controls, value, target)
+        assert np.array_equal(state.amplitudes, expected)
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_phase_matches_index_negation(self, seed, data):
+        n = data.draw(st.integers(1, 6))
+        order = data.draw(st.permutations(range(n)))
+        controls = list(order[: data.draw(st.integers(0, n))])
+        value = data.draw(st.integers(0, (1 << len(controls)) - 1))
+        state = random_state(n, seed)
+        expected = state.amplitudes.copy()
+        expected[matching_indices(n, controls, value)] *= -1.0
+        apply_value_controlled_phase(state, controls, value)
+        assert np.array_equal(state.amplitudes, expected)
+
+
+class TestMemoryContract:
+    """No gate builds a temporary of the state's size.
+
+    The state has 18 qubits (4 MiB).  NumPy iterates short strided runs
+    through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
+    quarter of a 16-qubit state but not of this one.  Python objects
+    made per call are covered by a 16 KiB allowance on the flip's bound.
+    """
+
+    N_QUBITS = 18
+
+    def traced_peak(self, fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    @pytest.fixture
+    def state(self):
+        return random_state(self.N_QUBITS, seed=1)
+
+    @pytest.mark.parametrize("qubit", [0, 1, 7, 17])
+    def test_hadamard(self, state, qubit):
+        peak = self.traced_peak(lambda: apply_hadamard(state, qubit))
+        assert peak < state.amplitudes.nbytes // 4
+
+    @pytest.mark.parametrize("register", [(0, 1, 2), (6, 7, 8), (15, 16, 17), (2, 9, 4, 11)])
+    def test_inversion_about_average(self, state, register):
+        peak = self.traced_peak(lambda: apply_inversion_about_average(state, register))
+        assert peak < state.amplitudes.nbytes // 4
+
+    @pytest.mark.parametrize("qubits", [tuple(range(15)), (17, 3, 8), (5,)])
+    def test_marginal(self, state, qubits):
+        peak = self.traced_peak(lambda: marginal_distribution(state, qubits))
+        assert peak < state.amplitudes.nbytes // 4
+
+    @pytest.mark.parametrize(
+        "controls, target", [((0, 1, 2), 12), ((15, 16, 17), 0), ((5,), 17), ((), 3)]
+    )
+    def test_flip_holds_at_most_its_subspace(self, state, controls, target):
+        subspace = state.amplitudes.nbytes >> len(controls)
+        peak = self.traced_peak(
+            lambda: apply_value_controlled_flip(state, controls, 0, target)
+        )
+        assert peak <= subspace + 16 * 1024
 
 
 class TestInversionAboutAverage:
