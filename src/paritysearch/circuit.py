@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Literal, Mapping
 
 import numpy as np
@@ -162,6 +163,40 @@ def apply_record(state: StateVector, record: GateRecord) -> StateVector:
     raise DomainError(f"unknown gate kind {record.kind!r}")
 
 
+@lru_cache(maxsize=8)
+def _occurrence_masks(layout: RegisterLayout) -> np.ndarray:
+    """Net incidence flips of steps 3 and 5, by sample-register value.
+
+    masks[c] is the XOR over registers i of 1 << digit_i(c): incidence
+    qubit j, bit j-1 above the sample qubits, flips once per register
+    that holds item j.  Read-only, since every caller shares it.
+    """
+    values = np.arange(1 << (layout.item_bits * layout.n_samples))
+    masks = np.zeros_like(values)
+    for i in range(layout.n_samples):
+        masks ^= 1 << ((values >> (i * layout.item_bits)) & (layout.n_items - 1))
+    masks.setflags(write=False)
+    return masks
+
+
+def _apply_step(
+    state: StateVector, layout: RegisterLayout, step: str, records: list[GateRecord]
+) -> None:
+    """Apply one step's records as fused passes where a step has one."""
+    if step == "step2a":
+        sv.apply_hadamards(state, [r.target for r in records])
+    elif step in ("step3", "step5"):
+        sv.apply_xor_permutation(
+            state, layout.item_bits * layout.n_samples, _occurrence_masks(layout)
+        )
+    elif step == "step6":
+        for i in range(1, layout.n_samples + 1):
+            sv.apply_inversion_about_average(state, layout.sample_qubits(i))
+    else:
+        for record in records:
+            apply_record(state, record)
+
+
 def run_circuit(
     params: SearchParameters,
     pred: BooleanPredicate,
@@ -170,11 +205,18 @@ def run_circuit(
 ) -> CircuitRun:
     """Execute the circuit; with capture, snapshot the state after each step.
 
-    Capture applies every gate record literally.  Without it, step 6 runs
-    as one inversion about average per register, equal to its records.
+    Capture applies every gate record literally, and refuses an instance
+    whose seven states (working state plus six snapshots) physical memory
+    cannot hold.  Without it, step 2a is one pass of Hadamard blocks,
+    steps 3 and 5 are each one XOR permutation of the incidence register
+    keyed by the sample registers, and step 6 is one inversion about
+    average per register; each equals its records up to rounding.  Steps
+    2b and 4 apply their records either way.
     """
     records = build_circuit(params, pred, cap=cap)
     layout = layout_for(params)
+    if capture:
+        sv.check_memory(layout.total_qubits, copies=7)
     state = sv.zero_state(layout.total_qubits, cap=cap)
 
     intermediates: dict[str, StateVector] | None = None
@@ -187,13 +229,12 @@ def run_circuit(
     snapshot_after = {"step2b": "step2", "step3": "step3", "step4": "step4",
                       "step5": "step5", "step6": "step6"}
     for step in STEP_ORDER:
-        if step == "step6" and not capture:
-            for i in range(1, layout.n_samples + 1):
-                sv.apply_inversion_about_average(state, layout.sample_qubits(i))
+        if not capture:
+            _apply_step(state, layout, step, by_step[step])
             continue
         for record in by_step[step]:
             apply_record(state, record)
-        if capture and step in snapshot_after:
+        if step in snapshot_after:
             intermediates[snapshot_after[step]] = state.copy()
     return CircuitRun(final_state=state, intermediates=intermediates)
 

@@ -3,7 +3,9 @@
 Exactly the primitives the search circuit needs: Hadamard, the (1,-1)
 phase gate, value-conditioned multi-controlled flips and phase flips,
 the inversion-about-average operator, marginal measurement, and state
-comparison modulo global phase.
+comparison modulo global phase.  Two fused primitives serve the
+uncaptured circuit: Hadamards on many qubits as blocks of up to 8x8, and
+an XOR permutation of the high qubits keyed by the low ones.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -11,9 +13,15 @@ value or a bit pattern, bit b of the value corresponds to the b-th
 qubit in the list.  Gates mutate the state in place and return it.
 
 They act on basic-indexing views of the amplitudes reshaped to one
-length-2 axis per qubit.  The only temporary is the matching
-subspace (a flip's selected amplitudes, or one register mean per setting
-of the other qubits); marginals contract a float view of the state.
+length-2 axis per qubit.  Temporaries are bounded chunks, never a share
+of the state: a flip swaps through a buffer of two slabs, the Hadamard
+blocks and the XOR permutation work one cache-sized piece at a time, and
+the inversion holds one register mean per setting of the other qubits.
+Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits larger
+calls across threads, and on a 2-CPU machine waking the second thread
+costs more than it saves (a tail of milliseconds per call).  Marginals
+contract a float view of the state.  `zero_state` refuses a state that
+physical memory cannot hold.
 """
 
 from __future__ import annotations
@@ -21,6 +29,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +45,22 @@ NORM_ATOL = 1e-12
 FIDELITY_ATOL = 1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+# Amplitudes per BLAS call; larger calls wake OpenBLAS's second thread.
+_BLAS_AMPLITUDES = 1 << 12
+# Amplitudes per piece of the XOR permutation: about a level-2 cache, and
+# enough to amortise the Python loop.
+_XOR_AMPLITUDES = 1 << 15
+# A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
+_SWAP_AXES = 12
+
+# H (x) ... (x) H on runs of 1 to 3 consecutive qubits.  Every factor is
+# the same, so the matrix is symmetric and the bit order needs no care.
+_HADAMARD_BLOCKS = {
+    width: reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
+    / math.sqrt(2.0**width)
+    for width in (1, 2, 3)
+}
 
 
 def qubit_cap() -> int:
@@ -122,13 +147,35 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where the platform does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_memory(n_qubits: int, copies: int = 1) -> None:
+    """Refuse `copies` states of n_qubits that physical memory cannot hold."""
+    need = (copies << n_qubits) * np.dtype(np.complex128).itemsize
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise CapacityError(
+            f"{n_qubits} qubits need {need / 2**30:.1f} GiB for {copies} "
+            f"state{'s' if copies > 1 else ''}, more than the "
+            f"{have / 2**30:.1f} GiB of physical memory"
+        )
+
+
 def zero_state(n_qubits: int, cap: int | None = None) -> StateVector:
-    """The all-zero basis state, refusing to allocate above the qubit cap."""
+    """The all-zero basis state, refusing to allocate above the qubit cap
+    or past physical memory."""
     cap = qubit_cap() if cap is None else cap
     if n_qubits < 1:
         raise DomainError(f"qubit count must be >= 1, got {n_qubits}")
     if n_qubits > cap:
         raise CapacityError(f"{n_qubits} qubits requested, above the cap of {cap}")
+    check_memory(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)
@@ -150,6 +197,89 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     hi *= -2.0
     hi += lo
     v *= _INV_SQRT2
+    return state
+
+
+def _qubit_runs(qubits: Sequence[int]) -> list[list[int]]:
+    """Cut the qubits, in ascending order, into [start, width] runs of at
+    most three consecutive qubits."""
+    runs: list[list[int]] = []
+    for q in sorted(qubits):
+        if runs and runs[-1][0] + runs[-1][1] == q and runs[-1][1] < 3:
+            runs[-1][1] += 1
+        else:
+            runs.append([q, 1])
+    return runs
+
+
+def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
+    """Apply a Hadamard on each of the qubits, in place.
+
+    Each run of up to three consecutive qubits is one pass over the state
+    that multiplies by a Hadamard block of up to 8x8, instead of one
+    strided pass per qubit.  Equal to `apply_hadamard` on each qubit up
+    to rounding.
+    """
+    _validate_controls(state, qubits, 0)
+    for start, width in _qubit_runs(qubits):
+        block = _HADAMARD_BLOCKS[width]
+        size = 1 << width
+        if start == 0:
+            # Rows of `size` adjacent amplitudes, `block` on the right.
+            rows = state.amplitudes.reshape(-1, size)
+            step = min(_BLAS_AMPLITUDES // size, len(rows))
+            out = np.empty((step, size), dtype=np.complex128)
+            block = block.astype(np.complex128)
+            for r in range(0, len(rows), step):
+                np.matmul(rows[r : r + step], block, out=out)
+                rows[r : r + step] = out
+            continue
+        # The block is real, so it acts on the real and imaginary parts
+        # alike: a float view makes the calls real and their rows longer.
+        v = state.amplitudes.view(np.float64).reshape(-1, size, 2 << start)
+        cols = min(v.shape[2], 2 * _BLAS_AMPLITUDES // size)
+        step = min(2 * _BLAS_AMPLITUDES // (size * cols), len(v))
+        out = np.empty((step, size, cols))
+        for r in range(0, len(v), step):
+            for c in range(0, v.shape[2], cols):
+                piece = v[r : r + step, :, c : c + cols]
+                np.matmul(block, piece, out=out)
+                piece[...] = out
+    return state
+
+
+def apply_xor_permutation(
+    state: StateVector, low_qubits: int, masks: np.ndarray
+) -> StateVector:
+    """Map |h, c> to |h XOR masks[c], c>, in place.
+
+    c is the value of the lowest `low_qubits` qubits and h that of the
+    rest.  XOR is an involution, so gathering row h XOR masks[c] of each
+    column c is the permutation itself.  Columns go in blocks of about
+    2**15 amplitudes (one column at least), gathered into fixed buffers.
+    """
+    if not 0 <= low_qubits <= state.n_qubits:
+        raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
+    masks = np.asarray(masks)
+    high, width = 1 << (state.n_qubits - low_qubits), 1 << low_qubits
+    if masks.shape != (width,) or masks.dtype.kind not in "iu":
+        raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
+    if masks.min() < 0 or masks.max() >= high:
+        raise DomainError(f"masks must lie in 0..{high - 1}")
+    grid = state.amplitudes.reshape(high, width)
+    cols = min(width, max(_XOR_AMPLITUDES // high, 1))
+    # The flat index of |h XOR masks[c], c> is (h << low) XOR (masks[c] << low | c).
+    # A block reads only its own columns, so it can be written back at once.
+    rows = np.arange(high, dtype=np.intp)[:, None] << low_qubits
+    index = np.empty((high, cols), dtype=np.intp)
+    out = np.empty((high, cols), dtype=np.complex128)
+    for c in range(0, width, cols):
+        keys = np.left_shift(masks[c : c + cols], low_qubits, dtype=np.intp)
+        keys |= np.arange(c, c + cols)
+        np.bitwise_xor(rows, keys, out=index)
+        # Every index is in range; mode "raise" would buffer `out` again.
+        np.take(state.amplitudes, index, out=out, mode="wrap")
+        grid[:, c : c + cols] = out
     return state
 
 
@@ -194,9 +324,15 @@ def apply_value_controlled_flip(
     lo = psi[(*index, ...)]
     index[axis] = 1
     hi = psi[(*index, ...)]
-    held = lo.copy()
-    lo[...] = hi
-    hi[...] = held
+    # Swap one slab of the leading axes at a time through a fixed buffer.
+    # A direct `lo[...] = hi` would copy `hi` first, since NumPy checks
+    # overlap by bounds only.
+    lead = max(lo.ndim - _SWAP_AXES, 0)
+    buf = np.empty((2, *lo.shape[lead:]), dtype=lo.dtype)
+    for slab in np.ndindex(lo.shape[:lead]):
+        a, b = lo[(*slab, ...)], hi[(*slab, ...)]
+        buf[0], buf[1] = a, b
+        a[...], b[...] = buf[1], buf[0]
     return state
 
 

@@ -1,11 +1,14 @@
 """Circuit construction, intermediate states, measurement, post-processing."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from helpers import expected_full_state
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysearch import (
     BooleanPredicate,
@@ -22,10 +25,13 @@ from paritysearch import (
     run_circuit,
     run_search,
 )
+from paritysearch import statevector as sv
+from paritysearch.circuit import _occurrence_masks, apply_record
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
     StateVector,
+    apply_xor_permutation,
     fidelity_mod_phase,
     marginal_distribution,
 )
@@ -151,17 +157,59 @@ class TestRunCircuit:
             fid = fidelity_mod_phase(run.intermediates["step6"], expected)
             assert fid >= 1 - FIDELITY_ATOL
 
-    def test_one_pass_step6_matches_literal_gates(self):
-        # Without capture step 6 is one inversion about average per
-        # register; with capture it is the literal H/phase/H records.
+    def test_fused_path_matches_literal_gates(self):
+        # Without capture steps 2a, 3, 5 and 6 run as fused passes; with
+        # capture every step applies its literal records.
         for n, etas in ((2, range(1, 5)), (4, range(1, 4)), (8, range(1, 3))):
             for eta in etas:
                 params = SearchParameters(n, eta)
+                incidence = layout_for(params).incidence_qubits()
                 for mask in range(2**n):
                     pred = BooleanPredicate.from_mask(n, mask)
                     fast = run_circuit(params, pred).final_state
                     literal = run_circuit(params, pred, capture=True).final_state
                     assert fidelity_mod_phase(fast, literal) >= 1 - FIDELITY_ATOL
+                    assert marginal_distribution(fast, incidence)[0] >= 1 - FIDELITY_ATOL
+
+    @settings(deadline=None, max_examples=25)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_occurrence_masks_match_step3_records(self, seed, data):
+        # Any input state, not only the circuit's: the XOR pass with the
+        # cached masks is the net permutation of the step-3 flips.
+        n, max_eta = data.draw(st.sampled_from([(2, 4), (4, 2), (8, 1)]))
+        eta = data.draw(st.integers(1, max_eta))
+        params = SearchParameters(n, eta)
+        layout = layout_for(params)
+        records = [r for r in build_circuit(params, BooleanPredicate.from_mask(n, 0))
+                   if r.step == "step3"]
+        rng = np.random.default_rng(seed)
+        size = 1 << layout.total_qubits
+        amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+        literal = StateVector(layout.total_qubits, amps)
+        fused = literal.copy()
+        for record in records:
+            apply_record(literal, record)
+        masks = _occurrence_masks(layout)
+        assert not masks.flags.writeable
+        apply_xor_permutation(fused, layout.item_bits * eta, masks)
+        assert np.array_equal(fused.amplitudes, literal.amplitudes)
+
+    def test_capture_refuses_what_memory_cannot_hold(self, monkeypatch):
+        # Memory is probed as three states: the working state alone fits,
+        # the seven that capture keeps do not, and nothing is allocated.
+        params = SearchParameters(8, 2)
+        pred = BooleanPredicate.from_marks(8, [1])
+        state_bytes = 16 << layout_for(params).total_qubits
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 3 * state_bytes)
+        assert run_circuit(params, pred).final_state.amplitudes.nbytes == state_bytes
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="physical memory"):
+                run_circuit(params, pred, capture=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state_bytes // 4
 
     def test_certain_success_marginal(self):
         # One marked item out of four leaves zero unmarked amplitude.

@@ -235,3 +235,12 @@ class TestOutputContracts:
         assert runner.invoke(main, args).exit_code == 3
         monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", "11")
         assert runner.invoke(main, args).exit_code == 0
+
+    def test_state_past_physical_memory_exits_3(self, runner, monkeypatch):
+        # 38 qubits (4 TiB) pass a raised qubit cap but not the memory check.
+        monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", "40")
+        result = runner.invoke(main, ["simulate", "--n", "32", "--eta", "1", "--marks", "1"])
+        assert result.exit_code == 3
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1
+        assert "38 qubits" in result.stderr and "physical memory" in result.stderr

@@ -11,14 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritysearch import CapacityError, DomainError, RegisterLayout, StateVector
+from paritysearch import statevector as sv
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
     apply_hadamard,
+    apply_hadamards,
     apply_inversion_about_average,
     apply_sigma_z,
     apply_value_controlled_flip,
     apply_value_controlled_phase,
+    apply_xor_permutation,
     fidelity_mod_phase,
     marginal_distribution,
     zero_state,
@@ -78,6 +81,18 @@ class TestZeroState:
             zero_state(25)
         with pytest.raises(CapacityError):
             zero_state(13, cap=12)
+
+    def test_memory_is_checked_before_allocation(self, monkeypatch):
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 1 << 20)
+        assert zero_state(16).amplitudes.nbytes == 1 << 20
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="physical memory"):
+                zero_state(17)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestSingleQubitGates:
@@ -198,14 +213,80 @@ class TestGatesAgainstIndexOracle:
         assert np.array_equal(state.amplitudes, expected)
 
 
+class TestFusedPrimitives:
+    """The fused passes against one gate at a time and an index oracle."""
+
+    @staticmethod
+    def check_hadamards(n, qubits, seed):
+        state = random_state(n, seed)
+        expected = state.copy()
+        for q in qubits:
+            apply_hadamard(expected, q)
+        apply_hadamards(state, qubits)
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_hadamards_match_sequential_hadamards(self, seed, data):
+        n = data.draw(st.integers(1, 8))
+        qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        self.check_hadamards(n, qubits, seed)
+
+    @pytest.mark.parametrize(
+        "qubits", [(7,), (0,), (2,), (1, 2, 3, 4), (0, 2, 4, 6), (5, 6, 7), tuple(range(8))]
+    )
+    def test_hadamards_named_subsets(self, qubits):
+        # Single qubits, the top qubit, runs cut at 3 and gapped subsets.
+        self.check_hadamards(8, qubits, seed=len(qubits))
+
+    def test_hadamards_reject_bad_qubits(self):
+        with pytest.raises(DomainError):
+            apply_hadamards(zero_state(3), [0, 3])
+        with pytest.raises(DomainError):
+            apply_hadamards(zero_state(3), [1, 1])
+
+    @settings(deadline=None, max_examples=80)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_xor_permutation_matches_index_oracle(self, seed, data):
+        n = data.draw(st.integers(1, 8))
+        low = data.draw(st.integers(0, n))
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 1 << (n - low), size=1 << low)
+        dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
+        state = random_state(n, seed)
+        index = np.arange(1 << n)
+        c = index & ((1 << low) - 1)
+        expected = state.amplitudes[((index >> low) ^ masks[c]) << low | c]
+        apply_xor_permutation(state, low, masks.astype(dtype))
+        assert np.array_equal(state.amplitudes, expected)
+
+    def test_xor_permutation_rejects_bad_masks(self):
+        state = zero_state(4)
+        with pytest.raises(DomainError):
+            apply_xor_permutation(state, 2, np.zeros(3, dtype=int))
+        with pytest.raises(DomainError):
+            apply_xor_permutation(state, 2, np.array([0, 1, 2, 4]))
+        with pytest.raises(DomainError):
+            apply_xor_permutation(state, 2, np.array([0, -1, 2, 3]))
+        with pytest.raises(DomainError):
+            apply_xor_permutation(state, 2, np.zeros(4))
+        with pytest.raises(DomainError):
+            apply_xor_permutation(state, 5, np.zeros(32, dtype=int))
+
+
 class TestMemoryContract:
     """No gate builds a temporary of the state's size.
 
     The state has 18 qubits (4 MiB).  NumPy iterates short strided runs
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
-    quarter of a 16-qubit state but not of this one.  Python objects
-    made per call are covered by a 16 KiB allowance on the flip's bound.
+    quarter of a 16-qubit state but not of this one.  Flips and Hadamard
+    blocks hold two buffers of 4096 amplitudes (128 KiB); the XOR pass
+    holds a piece of 2**15 amplitudes with its int64 row index.  Fixed
+    bounds leave room for the Python objects made per call.
     """
+
+    BUFFER_BOUND = 256 * 1024
+    XOR_BOUND = 1536 * 1024
 
     N_QUBITS = 18
 
@@ -241,11 +322,21 @@ class TestMemoryContract:
         "controls, target", [((0, 1, 2), 12), ((15, 16, 17), 0), ((5,), 17), ((), 3)]
     )
     def test_flip_holds_at_most_its_subspace(self, state, controls, target):
-        subspace = state.amplitudes.nbytes >> len(controls)
         peak = self.traced_peak(
             lambda: apply_value_controlled_flip(state, controls, 0, target)
         )
-        assert peak <= subspace + 16 * 1024
+        assert peak <= self.BUFFER_BOUND
+
+    @pytest.mark.parametrize("qubits", [tuple(range(15)), (0,), (17,), (1, 2, 5, 9, 17)])
+    def test_hadamards(self, state, qubits):
+        peak = self.traced_peak(lambda: apply_hadamards(state, qubits))
+        assert peak <= self.BUFFER_BOUND
+
+    @pytest.mark.parametrize("low", [15, 9, 3])
+    def test_xor_permutation(self, state, low):
+        masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
+        peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
+        assert peak <= self.XOR_BOUND
 
 
 class TestInversionAboutAverage:
