@@ -119,6 +119,17 @@ def _check_exact_work(n_items: int, n_samples: int, work_cap: int) -> None:
         )
 
 
+def _binomial_table(size: int) -> np.ndarray:
+    """C(n, c) for 0 <= n, c < size, each rounded once to float64.
+
+    From n = 68 on the integers outgrow 64 bits, and numpy would hold
+    them as Python objects, so the table is float from the start.
+    """
+    return np.array(
+        [[math.comb(n, c) for c in range(size)] for n in range(size)], dtype=np.float64
+    )
+
+
 def _exact_lowest_index(probs: np.ndarray, marked: list[bool], n_samples: int) -> float:
     """Majority success probability with lowest-index tie-breaking.
 
@@ -130,7 +141,7 @@ def _exact_lowest_index(probs: np.ndarray, marked: list[bool], n_samples: int) -
     (partial) probability.
     """
     size = n_samples + 1
-    comb = [[math.comb(n, c) for c in range(size)] for n in range(size)]
+    comb = _binomial_table(size)
     state = np.zeros((size, size, 2))
     state[0, 0, 0] = 1.0
     for p, flag in zip(probs, marked):
@@ -138,9 +149,8 @@ def _exact_lowest_index(probs: np.ndarray, marked: list[bool], n_samples: int) -
         new = np.zeros_like(state)
         for c in range(size):
             s_max = n_samples - c
-            coeff = np.array(
-                [comb[n_samples - s][c] for s in range(s_max + 1)]
-            ) * powers[c]
+            # C(n_samples - s, c) for s = 0..s_max.
+            coeff = comb[c:, c][::-1] * powers[c]
             block = state[: s_max + 1] * coeff[:, None, None]
             # count <= running max: max and winner unchanged
             new[c : c + s_max + 1, c:, :] += block[:, c:, :]
@@ -167,19 +177,18 @@ def _exact_random_tie(
     if marked_count == 0:
         return 0.0
     size = n_samples + 1
-    comb = [[math.comb(n, c) for c in range(size)] for n in range(size)]
+    comb = _binomial_table(size)
     state = np.zeros((size, size, n_items + 1))
     for m0 in range(1, size):
-        state[m0, m0, 1] = comb[n_samples][m0] * p_marked**m0
+        state[m0, m0, 1] = comb[n_samples, m0] * p_marked**m0
     others = [p_marked] * (marked_count - 1) + [p_unmarked] * (n_items - marked_count)
     for p in others:
         powers = float(p) ** np.arange(size)
         new = np.zeros_like(state)
         for c in range(size):
             s_max = n_samples - c
-            coeff = np.array(
-                [comb[n_samples - s][c] for s in range(s_max + 1)]
-            ) * powers[c]
+            # C(n_samples - s, c) for s = 0..s_max.
+            coeff = comb[c:, c][::-1] * powers[c]
             block = state[: s_max + 1] * coeff[:, None, None]
             # count below the max: nothing changes
             new[c : c + s_max + 1, c + 1 :, :] += block[:, c + 1 :, :]

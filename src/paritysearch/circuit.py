@@ -190,8 +190,7 @@ def _apply_step(
             state, layout.item_bits * layout.n_samples, _occurrence_masks(layout)
         )
     elif step == "step6":
-        for i in range(1, layout.n_samples + 1):
-            sv.apply_inversion_about_average(state, layout.sample_qubits(i))
+        sv.apply_register_inversions(state, layout.item_bits, layout.n_samples)
     else:
         for record in records:
             apply_record(state, record)
@@ -207,10 +206,12 @@ def run_circuit(
 
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
-    cannot hold.  Without it, step 2a is one pass of Hadamard blocks,
-    steps 3 and 5 are each one XOR permutation of the incidence register
-    keyed by the sample registers, and step 6 is one inversion about
-    average per register; each equals its records up to rounding.  Steps
+    cannot hold.  Without it, steps 2a and 6 each go through the block
+    kernel of `statevector`: step 2a as Hadamard blocks, step 6 as one
+    reflection block I - 2J/N per sample register, the low blocks one
+    cache-sized piece of the state at a time.  Steps 3 and 5 are each one
+    XOR permutation of the incidence register keyed by the sample
+    registers.  Each fused step equals its records up to rounding.  Steps
     2b and 4 apply their records either way.
     """
     records = build_circuit(params, pred, cap=cap)

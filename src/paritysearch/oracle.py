@@ -70,7 +70,7 @@ class BooleanPredicate:
     @classmethod
     def from_mask(cls, size: int, mask: int) -> BooleanPredicate:
         """Build from a bitmask with bit j-1 = value on item j."""
-        if mask < 0 or mask >> size:
+        if mask < 0 or mask >> max(size, 0):
             raise DomainError(f"mask {mask:#x} does not fit {size} items")
         return cls(size, frozenset(j for j in range(1, size + 1) if (mask >> (j - 1)) & 1))
 

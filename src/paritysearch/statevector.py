@@ -3,9 +3,11 @@
 Exactly the primitives the search circuit needs: Hadamard, the (1,-1)
 phase gate, value-conditioned multi-controlled flips and phase flips,
 the inversion-about-average operator, marginal measurement, and state
-comparison modulo global phase.  Two fused primitives serve the
-uncaptured circuit: Hadamards on many qubits as blocks of up to 8x8, and
-an XOR permutation of the high qubits keyed by the low ones.
+comparison modulo global phase.  Fused primitives serve the uncaptured
+circuit: one kernel multiplies the state by small real blocks, Hadamards
+on runs of up to three qubits or the inversion about average on whole
+registers, and an XOR permutation moves the high qubits keyed by the
+low ones.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -14,14 +16,16 @@ qubit in the list.  Gates mutate the state in place and return it.
 
 They act on basic-indexing views of the amplitudes reshaped to one
 length-2 axis per qubit.  Temporaries are bounded chunks, never a share
-of the state: a flip swaps through a buffer of two slabs, the Hadamard
-blocks and the XOR permutation work one cache-sized piece at a time, and
-the inversion holds one register mean per setting of the other qubits.
-Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits larger
-calls across threads, and on a 2-CPU machine waking the second thread
-costs more than it saves (a tail of milliseconds per call).  Marginals
-contract a float view of the state.  `zero_state` refuses a state that
-physical memory cannot hold.
+of the state: a flip swaps through a buffer of two slabs, and the blocks
+and the XOR permutation work one cache-sized piece at a time.  Blocks on
+qubits below 15 all act on one contiguous piece of 2**15 amplitudes
+before the next, so one read of the state serves all of them.  The
+two-pass inversion holds one register mean per setting of the other
+qubits.  Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits
+larger calls across threads, and on a 2-CPU machine waking the second
+thread costs more than it saves (a tail of milliseconds per call).
+Marginals contract a float view of the state.  `zero_state` refuses a
+state that physical memory cannot hold.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Sequence
 
 import numpy as np
@@ -53,14 +57,12 @@ _BLAS_AMPLITUDES = 1 << 12
 _XOR_AMPLITUDES = 1 << 15
 # A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
 _SWAP_AXES = 12
+# Blocks below this qubit act one contiguous piece at a time.
+_PIECE_AMPLITUDES = 1 << 15
+# Registers wider than the circuit's widest below the default cap (N=16)
+# take the two-pass inversion instead of a 2**w x 2**w block.
+_MAX_BLOCK_QUBITS = 4
 
-# H (x) ... (x) H on runs of 1 to 3 consecutive qubits.  Every factor is
-# the same, so the matrix is symmetric and the bit order needs no care.
-_HADAMARD_BLOCKS = {
-    width: reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
-    / math.sqrt(2.0**width)
-    for width in (1, 2, 3)
-}
 
 
 def qubit_cap() -> int:
@@ -212,39 +214,107 @@ def _qubit_runs(qubits: Sequence[int]) -> list[list[int]]:
     return runs
 
 
+@lru_cache(maxsize=8)
+def _block(kind: str, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """A real symmetric block on `width` qubits and its (re, im) widening.
+
+    "hadamard" is H (x) ... (x) H; every factor is the same, so the bit
+    order needs no care.  "inversion" is I - 2J/2**width, J all ones: the
+    inversion about average on one register.  The widening kron(block, I2)
+    acts on rows of interleaved real and imaginary parts.  Both are
+    read-only, since every caller shares them.
+    """
+    if kind == "hadamard":
+        block = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
+        block /= math.sqrt(2.0**width)
+    else:
+        block = np.eye(1 << width) - 2.0 / (1 << width)
+    wide = np.kron(block, np.eye(2))
+    block.setflags(write=False)
+    wide.setflags(write=False)
+    return block, wide
+
+
+def _apply_block(floats: np.ndarray, block: tuple[np.ndarray, np.ndarray], start: int) -> None:
+    """Multiply the float view of some amplitudes by a `_block` pair that
+    acts on qubits start, start+1, ..., in place.
+
+    The block is real, so it acts on the real and imaginary parts alike.
+    At qubit 0, rows of interleaved parts meet the widened block on the
+    right; higher up, the block multiplies pieces of the
+    (-1, size, 2 << start) view from the left.
+    """
+    matrix, wide = block
+    size = len(matrix)
+    if start == 0:
+        rows = floats.reshape(-1, 2 * size)
+        step = min(_BLAS_AMPLITUDES // size, len(rows))
+        out = np.empty((step, 2 * size))
+        for r in range(0, len(rows), step):
+            np.matmul(rows[r : r + step], wide, out=out)
+            rows[r : r + step] = out
+        return
+    v = floats.reshape(-1, size, 2 << start)
+    cols = min(v.shape[2], 2 * _BLAS_AMPLITUDES // size)
+    step = min(2 * _BLAS_AMPLITUDES // (size * cols), len(v))
+    out = np.empty((step, size, cols))
+    for r in range(0, len(v), step):
+        for c in range(0, v.shape[2], cols):
+            piece = v[r : r + step, :, c : c + cols]
+            np.matmul(matrix, piece, out=out)
+            piece[...] = out
+
+
+def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
+    """Apply (kind, start, width) blocks on disjoint qubits, in place.
+
+    Blocks that lie wholly below the piece boundary all act on one
+    contiguous piece of _PIECE_AMPLITUDES before the next piece is read,
+    so the state streams through memory once for all of them; the others
+    act on the whole state, one at a time.
+    """
+    floats = state.amplitudes.view(np.float64)
+    piece_qubits = _PIECE_AMPLITUDES.bit_length() - 1
+    low = [(_block(k, w), s) for k, s, w in runs if s + w <= piece_qubits]
+    high = [(_block(k, w), s) for k, s, w in runs if s + w > piece_qubits]
+    if low:
+        step = 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)
+        for p in range(0, floats.size, step):
+            piece = floats[p : p + step]
+            for block, start in low:
+                _apply_block(piece, block, start)
+    for block, start in high:
+        _apply_block(floats, block, start)
+
+
 def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
     """Apply a Hadamard on each of the qubits, in place.
 
-    Each run of up to three consecutive qubits is one pass over the state
-    that multiplies by a Hadamard block of up to 8x8, instead of one
-    strided pass per qubit.  Equal to `apply_hadamard` on each qubit up
-    to rounding.
+    Each run of up to three consecutive qubits is one Hadamard block of
+    up to 8x8, instead of one strided pass per qubit.  Equal to
+    `apply_hadamard` on each qubit up to rounding.
     """
     _validate_controls(state, qubits, 0)
-    for start, width in _qubit_runs(qubits):
-        block = _HADAMARD_BLOCKS[width]
-        size = 1 << width
-        if start == 0:
-            # Rows of `size` adjacent amplitudes, `block` on the right.
-            rows = state.amplitudes.reshape(-1, size)
-            step = min(_BLAS_AMPLITUDES // size, len(rows))
-            out = np.empty((step, size), dtype=np.complex128)
-            block = block.astype(np.complex128)
-            for r in range(0, len(rows), step):
-                np.matmul(rows[r : r + step], block, out=out)
-                rows[r : r + step] = out
-            continue
-        # The block is real, so it acts on the real and imaginary parts
-        # alike: a float view makes the calls real and their rows longer.
-        v = state.amplitudes.view(np.float64).reshape(-1, size, 2 << start)
-        cols = min(v.shape[2], 2 * _BLAS_AMPLITUDES // size)
-        step = min(2 * _BLAS_AMPLITUDES // (size * cols), len(v))
-        out = np.empty((step, size, cols))
-        for r in range(0, len(v), step):
-            for c in range(0, v.shape[2], cols):
-                piece = v[r : r + step, :, c : c + cols]
-                np.matmul(block, piece, out=out)
-                piece[...] = out
+    _apply_blocks(state, [("hadamard", s, w) for s, w in _qubit_runs(qubits)])
+    return state
+
+
+def apply_register_inversions(state: StateVector, width: int, count: int) -> StateVector:
+    """Apply the inversion about average on each of `count` consecutive
+    registers of `width` qubits from qubit 0, in place.
+
+    Each register is one block I - 2J/2**width.  Equal to
+    `apply_inversion_about_average` on each register up to rounding.
+    """
+    if width < 1 or count < 1 or width * count > state.n_qubits:
+        raise DomainError(
+            f"{count} registers of {width} qubits do not fit {state.n_qubits} qubits"
+        )
+    if width > _MAX_BLOCK_QUBITS:
+        for i in range(count):
+            apply_inversion_about_average(state, range(i * width, (i + 1) * width))
+        return state
+    _apply_blocks(state, [("inversion", i * width, width) for i in range(count)])
     return state
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -256,6 +257,23 @@ class TestExactSuccessProbability:
         values = [exact_success_probability(model, pred, eta) for eta in (1, 8, 64)]
         assert values == sorted(values)
         assert values[-1] >= 0.99
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    @pytest.mark.parametrize("eta", [67, 68, 70, 72])
+    def test_binomials_past_64_bits(self, eta, tie):
+        # From eta=68 on, C(eta, eta/2) outgrows 64-bit integers.  At N=2
+        # with item 1 marked both items have probability 1/2, so item 1's
+        # count X is Binomial(eta, 1/2): lowest-index ties make success
+        # P(X >= eta/2); random ties give half credit when X = eta/2.
+        model = amplitudes(2, 1)
+        pred = BooleanPredicate.from_marks(2, [1])
+        credit = {
+            "lowest_index": lambda k: Fraction(2 * k >= eta),
+            "random": lambda k: Fraction(1, 2) if 2 * k == eta else Fraction(2 * k > eta),
+        }[tie]
+        want = sum(math.comb(eta, k) * credit(k) for k in range(eta + 1)) / 2**eta
+        got = exact_success_probability(model, pred, eta, tie_break=tie)
+        assert got == pytest.approx(float(want), abs=1e-13)
 
 
 class TestMonteCarlo:

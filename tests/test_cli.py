@@ -7,6 +7,8 @@ import math
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysearch.cli import main
 
@@ -109,6 +111,16 @@ class TestAnalytic:
     def test_t_and_marks_conflict(self, runner):
         result = runner.invoke(main, ["analytic", "--n", "4", "--t", "1", "--marks", "2", "--eta", "1"])
         assert result.exit_code == 2
+
+    def test_paper_schedule_past_64_bit_binomials(self, runner):
+        # c=1 at N=8 gives eta=72, where C(72, 36) outgrows 64-bit integers.
+        for tie in ("lowest", "random"):
+            doc = invoke_json(
+                runner,
+                ["analytic", "--n", "8", "--t", "1", "--schedule-c", "1", "--tie-break", tie],
+            )
+            assert doc["result"]["n_samples"] == 72
+            assert 0.99 < doc["result"]["success_probability_exact"] <= 1.0
 
 
 class TestGates:
@@ -244,3 +256,65 @@ class TestOutputContracts:
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert len(result.stderr.splitlines()) == 1
         assert "38 qubits" in result.stderr and "physical memory" in result.stderr
+
+
+def _flag(name, values):
+    """An optional flag: absent, or given with one of the values."""
+    return st.one_of(st.none(), values).map(lambda v: [] if v is None else [name, str(v)])
+
+
+_PREDICATES = {
+    "--marks": st.sampled_from(["", "1", "2", "1,2", "2,3", "16", "0", "x", "2,2"]),
+    "--mask": st.sampled_from(["0x1", "0x2", "0x3", "0x6", "0x0", "zz", "0x10000"]),
+    "--t": st.integers(-1, 17),
+}
+_OPTIONS = {
+    "simulate": [
+        _flag("--seed", st.integers(-1, 2**32)),
+        _flag("--tie-break", st.sampled_from(["lowest", "random"])),
+        st.sampled_from([[], ["--capture"]]),
+    ],
+    "analytic": [
+        _flag("--seed", st.integers(-1, 2**32)),
+        _flag("--trials", st.integers(-1, 200)),
+        _flag("--tie-break", st.sampled_from(["lowest", "random"])),
+    ],
+    "gates": [_flag("--cost-model", st.sampled_from(["paper", "naive"]))],
+}
+
+
+@st.composite
+def _command_lines(draw):
+    """Command lines that mostly make sense, with invalid values and
+    conflicting flags mixed in."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    args = [command]
+    n = draw(st.sampled_from([2, 4, 8, 16] * 3 + [None, -2, 0, 1, 3]))
+    if n is not None:
+        args += ["--n", str(n)]
+    # Exactly one of --eta and --schedule-c keeps eta <= 80: at N <= 16
+    # these constants schedule at most 77 samples.
+    count = draw(st.sampled_from(["--eta"] * 3 + ["--schedule-c"] * 2 + ["both"]))
+    if count != "--schedule-c":
+        eta = st.one_of(st.integers(1, 6), st.integers(1, 80), st.sampled_from([-1, 0]))
+        args += ["--eta", str(draw(eta))]
+    if count != "--eta":
+        args += ["--schedule-c", str(draw(st.sampled_from([0.0, 0.05, 0.1, 0.3])))]
+    names = sorted(_PREDICATES) if command != "simulate" else ["--marks", "--mask"]
+    chosen = draw(st.sampled_from([[]] + [[name] for name in names] * 3 + [names[:2]]))
+    for name in chosen:
+        args += [name, str(draw(_PREDICATES[name]))]
+    for flag in _OPTIONS[command] + [_flag("--format", st.sampled_from(["json", "csv"]))]:
+        args += draw(flag)
+    return args
+
+
+class TestExitContract:
+    @settings(deadline=None, max_examples=50)
+    @given(args=_command_lines())
+    def test_every_flag_combination_exits_0_2_or_3(self, args):
+        # The qubit cap of 16 refuses larger circuits before they allocate.
+        result = CliRunner().invoke(main, args, env={"PARITYSEARCH_QUBIT_CAP": "16"})
+        assert result.exit_code in (0, 2, 3), (args, result.exception)
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output + result.stderr

@@ -75,6 +75,12 @@ class TestBooleanPredicate:
         with pytest.raises(DomainError):
             BooleanPredicate.from_mask(4, 0x10)
 
+    @pytest.mark.parametrize("mask", [0, 0x6])
+    def test_mask_on_negative_size(self, mask):
+        # A negative size must not reach the shift (ValueError).
+        with pytest.raises(DomainError):
+            BooleanPredicate.from_mask(-2, mask)
+
 
 class TestSubsetParityQuery:
     def test_even_overlap(self):

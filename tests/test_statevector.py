@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from paritysearch.statevector import (
     apply_hadamard,
     apply_hadamards,
     apply_inversion_about_average,
+    apply_register_inversions,
     apply_sigma_z,
     apply_value_controlled_flip,
     apply_value_controlled_phase,
@@ -239,6 +241,51 @@ class TestFusedPrimitives:
         # Single qubits, the top qubit, runs cut at 3 and gapped subsets.
         self.check_hadamards(8, qubits, seed=len(qubits))
 
+    # With pieces of 8 or 16 amplitudes, states of a few qubits reach a
+    # second piece, runs that straddle the piece boundary and runs above it.
+    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_hadamards_in_small_pieces(self, piece, seed, data):
+        n = data.draw(st.integers(1, 8))
+        qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
+            self.check_hadamards(n, qubits, seed)
+
+    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
+    @pytest.mark.parametrize("qubits", [(1, 2, 3, 4), (0, 2, 4, 6), tuple(range(8))])
+    def test_hadamards_named_subsets_in_small_pieces(self, piece, qubits):
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
+            self.check_hadamards(8, qubits, seed=len(qubits))
+
+    @staticmethod
+    def check_register_inversions(n, width, count, seed):
+        state = random_state(n, seed)
+        expected = state.copy()
+        for i in range(count):
+            apply_inversion_about_average(expected, range(i * width, (i + 1) * width))
+        apply_register_inversions(state, width, count)
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+
+    @pytest.mark.parametrize("piece", [1 << 15, 1 << 3, 1 << 4])
+    @settings(deadline=None, max_examples=60)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_register_inversions_match_inversion_about_average(self, piece, seed, data):
+        width = data.draw(st.integers(1, 4))
+        count = data.draw(st.integers(1, min(4, 12 // width)))
+        n = data.draw(st.integers(width * count, 12))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
+            self.check_register_inversions(n, width, count, seed)
+
+    def test_wide_registers_take_two_pass_inversion(self):
+        width = sv._MAX_BLOCK_QUBITS + 1
+        self.check_register_inversions(2 * width + 1, width, 2, seed=5)
+
+    def test_register_inversions_reject_bad_layouts(self):
+        for width, count in [(0, 1), (1, 0), (2, 2)]:
+            with pytest.raises(DomainError):
+                apply_register_inversions(zero_state(3), width, count)
+
     def test_hadamards_reject_bad_qubits(self):
         with pytest.raises(DomainError):
             apply_hadamards(zero_state(3), [0, 3])
@@ -279,8 +326,8 @@ class TestMemoryContract:
 
     The state has 18 qubits (4 MiB).  NumPy iterates short strided runs
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
-    quarter of a 16-qubit state but not of this one.  Flips and Hadamard
-    blocks hold two buffers of 4096 amplitudes (128 KiB); the XOR pass
+    quarter of a 16-qubit state but not of this one.  Flips hold two
+    buffers of 4096 amplitudes (128 KiB) and the blocks one; the XOR pass
     holds a piece of 2**15 amplitudes with its int64 row index.  Fixed
     bounds leave room for the Python objects made per call.
     """
@@ -330,6 +377,11 @@ class TestMemoryContract:
     @pytest.mark.parametrize("qubits", [tuple(range(15)), (0,), (17,), (1, 2, 5, 9, 17)])
     def test_hadamards(self, state, qubits):
         peak = self.traced_peak(lambda: apply_hadamards(state, qubits))
+        assert peak <= self.BUFFER_BOUND
+
+    @pytest.mark.parametrize("width, count", [(3, 5), (4, 4), (1, 18)])
+    def test_register_inversions(self, state, width, count):
+        peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
     @pytest.mark.parametrize("low", [15, 9, 3])
