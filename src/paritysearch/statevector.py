@@ -52,17 +52,11 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Amplitudes per BLAS call; larger calls wake OpenBLAS's second thread.
 _BLAS_AMPLITUDES = 1 << 12
-# Amplitudes per piece of the XOR permutation: about a level-2 cache, and
-# enough to amortise the Python loop.
-_XOR_AMPLITUDES = 1 << 15
+# Amplitudes per piece for the blocks and the XOR permutation: about a
+# level-2 cache, and enough to amortise the Python loop.
+_PIECE_AMPLITUDES = 1 << 15
 # A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
 _SWAP_AXES = 12
-# Blocks below this qubit act one contiguous piece at a time.
-_PIECE_AMPLITUDES = 1 << 15
-# Registers wider than the circuit's widest below the default cap (N=16)
-# take the two-pass inversion instead of a 2**w x 2**w block.
-_MAX_BLOCK_QUBITS = 4
-
 
 
 def qubit_cap() -> int:
@@ -304,16 +298,15 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     registers of `width` qubits from qubit 0, in place.
 
     Each register is one block I - 2J/2**width.  Equal to
-    `apply_inversion_about_average` on each register up to rounding.
+    `apply_inversion_about_average` on each register up to rounding.  A
+    block must fit one BLAS call, so registers hold at most 6 qubits.
     """
     if width < 1 or count < 1 or width * count > state.n_qubits:
         raise DomainError(
             f"{count} registers of {width} qubits do not fit {state.n_qubits} qubits"
         )
-    if width > _MAX_BLOCK_QUBITS:
-        for i in range(count):
-            apply_inversion_about_average(state, range(i * width, (i + 1) * width))
-        return state
+    if 1 << (2 * width) > _BLAS_AMPLITUDES:
+        raise DomainError(f"a {width}-qubit register's block exceeds one BLAS call")
     _apply_blocks(state, [("inversion", i * width, width) for i in range(count)])
     return state
 
@@ -337,7 +330,7 @@ def apply_xor_permutation(
     if masks.min() < 0 or masks.max() >= high:
         raise DomainError(f"masks must lie in 0..{high - 1}")
     grid = state.amplitudes.reshape(high, width)
-    cols = min(width, max(_XOR_AMPLITUDES // high, 1))
+    cols = min(width, max(_PIECE_AMPLITUDES // high, 1))
     # The flat index of |h XOR masks[c], c> is (h << low) XOR (masks[c] << low | c).
     # A block reads only its own columns, so it can be written back at once.
     rows = np.arange(high, dtype=np.intp)[:, None] << low_qubits

@@ -277,14 +277,15 @@ class TestFusedPrimitives:
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.check_register_inversions(n, width, count, seed)
 
-    def test_wide_registers_take_two_pass_inversion(self):
-        width = sv._MAX_BLOCK_QUBITS + 1
-        self.check_register_inversions(2 * width + 1, width, 2, seed=5)
+    # Wider than any register under the default cap (N=16 has 4 qubits).
+    @pytest.mark.parametrize("width", [5, 6])
+    def test_wide_registers_match_inversion_about_average(self, width):
+        self.check_register_inversions(2 * width + 1, width, 2, seed=width)
 
     def test_register_inversions_reject_bad_layouts(self):
-        for width, count in [(0, 1), (1, 0), (2, 2)]:
+        for n, width, count in [(3, 0, 1), (3, 1, 0), (3, 2, 2), (7, 7, 1)]:
             with pytest.raises(DomainError):
-                apply_register_inversions(zero_state(3), width, count)
+                apply_register_inversions(zero_state(n), width, count)
 
     def test_hadamards_reject_bad_qubits(self):
         with pytest.raises(DomainError):
@@ -297,9 +298,24 @@ class TestFusedPrimitives:
     def test_xor_permutation_matches_index_oracle(self, seed, data):
         n = data.draw(st.integers(1, 8))
         low = data.draw(st.integers(0, n))
+        dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
+        self.check_xor_permutation(n, low, dtype, seed)
+
+    # With pieces of 8 or 16 amplitudes the columns go in several blocks,
+    # down to one column per block.
+    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_xor_permutation_in_small_pieces(self, piece, seed, data):
+        n = data.draw(st.integers(1, 8))
+        low = data.draw(st.integers(0, n))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
+            self.check_xor_permutation(n, low, np.int64, seed)
+
+    @staticmethod
+    def check_xor_permutation(n, low, dtype, seed):
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         state = random_state(n, seed)
         index = np.arange(1 << n)
         c = index & ((1 << low) - 1)
