@@ -11,6 +11,7 @@ from .analytic import (
     MonteCarloEstimate,
     amplitudes,
     analytic_product_state,
+    exact_failure_probability,
     exact_success_probability,
     monte_carlo_success_probability,
     per_sample_distribution,

@@ -305,6 +305,9 @@ def _analytic_document(values: dict) -> dict:
         result["success_probability_exact"] = an.exact_success_probability(
             model, pred, eta, tie_break=tie_break
         )
+        result["failure_probability_exact"] = an.exact_failure_probability(
+            model, pred, eta, tie_break=tie_break
+        )
     except CapacityError as exc:
         if trials is None:
             raise CapacityError(f"{exc} (pass --trials to estimate instead)") from exc

@@ -7,11 +7,13 @@ test.
 
 import itertools
 import math
+from fractions import Fraction
 from functools import reduce
 
 import numpy as np
 
 from paritysearch import BooleanPredicate, RegisterLayout
+from paritysearch.circuit import winner_from_frequencies
 from paritysearch.statevector import StateVector
 
 
@@ -125,3 +127,84 @@ def eager_monte_carlo_estimate(pvec, marked, n_samples, trials, seed, tie_break)
             winner = tied[int(rng.integers(len(tied)))]
         successes += winner in marked
     return successes / trials
+
+
+def dict_vote_monte_carlo_estimate(pvec, pred, n_samples, trials, seed, tie_break) -> float:
+    """Majority success rate with each trial's vote taken over a frequency dict.
+
+    Same per-trial streams as the estimator (built as `SeedSequence.spawn`
+    would), with the winner picked by `winner_from_frequencies`.
+    """
+    root = np.random.SeedSequence(seed)
+    successes = 0
+    for i in range(trials):
+        stream = np.random.SeedSequence(
+            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
+        )
+        rng = np.random.default_rng(stream)
+        counts = rng.multinomial(n_samples, pvec)
+        frequencies = {j + 1: int(c) for j, c in enumerate(counts) if c > 0}
+        winner, _ = winner_from_frequencies(frequencies, tie_break, rng)
+        successes += pred.value(winner)
+    return successes / trials
+
+
+def _egf_product(a: list[int], b: list[int], limit: int) -> list[int]:
+    """Product of sum a_k x^k/k! and sum b_k x^k/k!, cut at degree limit.
+
+    The binomial convolution keeps every coefficient an integer.
+    """
+    size = min(len(a) + len(b) - 2, limit) + 1
+    return [
+        sum(math.comb(s, k) * a[k] * b[s - k]
+            for k in range(max(0, s - len(b) + 1), min(s, len(a) - 1) + 1))
+        for s in range(size)
+    ]
+
+
+def exact_success_fraction(n_items: int, marks, n_samples: int, tie_break: str) -> Fraction:
+    """Majority success probability in exact rationals, by generating functions.
+
+    For N a power of two the per-sample probabilities are w/N**3 with
+    integer w = (3N-4t)**2 (marked) and (N-4t)**2 (unmarked).  Condition
+    on a designated marked item holding m samples: the others' counts
+    then have multinomial weight eta!/(m! (eta-m)!) w_d**m times the
+    coefficient e_(eta-m) of the product of their truncated exponential
+    series sum_(c allowed) w**c x**c / c!.  lowest_index allows fewer than
+    m before the designated item and at most m after it; random allows
+    fewer than m for the items outside a tie and credits a tie of size
+    k+1 by 1/(k+1).  Marked items are exchangeable under random ties.
+    """
+    marks = frozenset(marks)
+    t, eta = len(marks), n_samples
+    weight = {True: (3 * n_items - 4 * t) ** 2, False: (n_items - 4 * t) ** 2}
+    total = Fraction(0)
+    for m in range(1, eta + 1):
+        rest = eta - m
+
+        def series(marked: bool, top: int) -> list[int]:
+            return [weight[marked] ** c for c in range(min(top, rest) + 1)]
+
+        def product(factors) -> list[int]:
+            return reduce(lambda a, b: _egf_product(a, b, rest), factors, [1])
+
+        head = math.comb(eta, m) * weight[True] ** m
+        if tie_break == "lowest_index":
+            for d in marks:
+                others = product(series(j in marks, m - 1 if j < d else m)
+                                 for j in range(1, n_items + 1) if j != d)
+                total += head * (others[rest] if rest < len(others) else 0)
+        else:
+            others_marked, others_unmarked = t - 1, n_items - t
+            for k1, k2 in itertools.product(range(others_marked + 1), range(others_unmarked + 1)):
+                tied = 1 + k1 + k2
+                if tied * m > eta:
+                    continue
+                free = product([series(True, m - 1)] * (others_marked - k1)
+                               + [series(False, m - 1)] * (others_unmarked - k2))
+                left = eta - tied * m
+                ways = (math.comb(others_marked, k1) * math.comb(others_unmarked, k2)
+                        * math.factorial(eta) // (math.factorial(m) ** tied * math.factorial(left))
+                        * weight[True] ** (m * (1 + k1)) * weight[False] ** (m * k2))
+                total += Fraction(t * ways * (free[left] if left < len(free) else 0), tied)
+    return total / n_items ** (3 * eta)

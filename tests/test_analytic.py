@@ -1,16 +1,26 @@
 """Closed-form amplitudes, success probabilities, and the Monte Carlo estimator."""
 
+import csv
+import json
 import math
+import subprocess
+import sys
 import tracemalloc
+import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from helpers import (
+    dict_vote_monte_carlo_estimate,
     eager_monte_carlo_estimate,
+    exact_success_fraction,
     success_by_composition_enumeration,
     success_by_tuple_enumeration,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from paritysearch import (
     BooleanPredicate,
@@ -18,6 +28,7 @@ from paritysearch import (
     DomainError,
     amplitudes,
     analytic_product_state,
+    exact_failure_probability,
     exact_success_probability,
     monte_carlo_success_probability,
     per_sample_distribution,
@@ -276,6 +287,121 @@ class TestExactSuccessProbability:
         assert got == pytest.approx(float(want), abs=1e-13)
 
 
+def _exact_pair(n, marks, eta, tie):
+    pred = BooleanPredicate.from_marks(n, marks)
+    model = amplitudes(n, len(pred.marks))
+    return (exact_success_probability(model, pred, eta, tie_break=tie),
+            exact_failure_probability(model, pred, eta, tie_break=tie))
+
+
+class TestExactFailureProbability:
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    @pytest.mark.parametrize("n, c", [(8, 1.0), (16, 0.25)])
+    def test_matches_rationals_at_the_schedule(self, n, c, tie):
+        # Failure is ~1e-23 at N=8, c=1: far below the rounding of 1 - success.
+        eta = scheduled_sample_count(n, c)
+        want = 1 - exact_success_fraction(n, [1], eta, tie)
+        _, failure = _exact_pair(n, [1], eta, tie)
+        assert failure == pytest.approx(float(want), rel=1e-10)
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    @pytest.mark.parametrize("eta", [67, 72])
+    def test_success_matches_rationals_past_64_bits(self, eta, tie):
+        success, _ = _exact_pair(8, [3], eta, tie)
+        assert success == pytest.approx(float(exact_success_fraction(8, [3], eta, tie)), abs=1e-13)
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    def test_success_and_failure_sum_to_one(self, tie):
+        rng = np.random.default_rng(23)
+        for n in (2, 4, 8, 16):
+            for t in range(n + 1):
+                marks = [int(j) + 1 for j in rng.choice(n, size=t, replace=False)]
+                for eta in (1, 3, 10, 40):
+                    success, failure = _exact_pair(n, marks, eta, tie)
+                    assert success + failure == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_edge_classes_without_warnings(self, n, tie):
+        # t=N/4 leaves unmarked items probability 0, t=N/2 makes every item
+        # equally likely, t=3N/4 leaves marked items probability 0.
+        known = {0: (0.0, 1.0), n // 4: (1.0, 0.0), 3 * n // 4: (0.0, 1.0), n: (1.0, 0.0)}
+        if tie == "random":
+            known[n // 2] = (0.5, 0.5)
+        for t in (0, n // 4, n // 2, 3 * n // 4, n):
+            marks = range(n - t + 1, n + 1)
+            for eta in (1, 6, 13):
+                with warnings.catch_warnings(), np.errstate(all="raise"):
+                    warnings.simplefilter("error")
+                    success, failure = _exact_pair(n, marks, eta, tie)
+                want = exact_success_fraction(n, marks, eta, tie)
+                assert success == pytest.approx(float(want), abs=1e-13)
+                assert failure == pytest.approx(float(1 - want), abs=1e-13)
+                if t in known:
+                    assert (success, failure) == pytest.approx(known[t], abs=1e-13)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.sampled_from([2, 4, 8]),
+        mask=st.integers(0, 255),
+        eta=st.integers(1, 6),
+        tie=st.sampled_from(["lowest_index", "random"]),
+    )
+    def test_matches_composition_enumeration(self, n, mask, eta, tie):
+        pred = BooleanPredicate.from_marks(n, [j for j in range(1, n + 1) if mask >> (j - 1) & 1])
+        unmarked = frozenset(range(1, n + 1)) - pred.marks
+        probs = per_sample_distribution(amplitudes(n, pred.marked_count), pred)
+        success, failure = _exact_pair(n, pred.marks, eta, tie)
+        assert success == pytest.approx(
+            success_by_composition_enumeration(probs, pred.marks, eta, tie), abs=1e-12)
+        assert failure == pytest.approx(
+            success_by_composition_enumeration(probs, unmarked, eta, tie), abs=1e-12)
+
+    def test_validation_matches_success(self):
+        model = amplitudes(1024, 1)
+        pred = BooleanPredicate.from_marks(1024, [1])
+        with pytest.raises(CapacityError):
+            exact_failure_probability(model, pred, 102400)
+        with pytest.raises(DomainError):
+            exact_failure_probability(model, pred, 0)
+        with pytest.raises(DomainError):
+            exact_failure_probability(model, pred, 3, tie_break="first")
+
+    def test_golden_documents_hold_rational_values(self):
+        golden = Path(__file__).parent / "golden"
+        docs = [(json.loads((golden / name).read_text()), "lowest_index")
+                for name in ("analytic_n16_exact.json", "analytic_n16_monte_carlo.json")]
+        row = next(csv.DictReader((golden / "analytic_n4_schedule_random.csv").open()))
+        docs.append(({"params": {"n_items": 4, "marks": [1, 2]}, "result": row}, "random"))
+        for doc, tie in docs:
+            params, result = doc["params"], doc["result"]
+            want = exact_success_fraction(
+                params["n_items"], params["marks"], int(result["n_samples"]), tie)
+            assert float(result["success_probability_exact"]) == pytest.approx(float(want), abs=1e-13)
+            assert float(result["failure_probability_exact"]) == pytest.approx(
+                float(1 - want), rel=1e-10)
+
+    def test_engine_and_cli_import_no_scipy(self):
+        # numpy.fft only: scipy is not a declared dependency.
+        script = (
+            "import sys\n"
+            "from paritysearch import BooleanPredicate, amplitudes, exact_failure_probability\n"
+            "from paritysearch.cli import main\n"
+            "exact_failure_probability(amplitudes(8, 1), BooleanPredicate.from_marks(8, [1]), 40,"
+            " tie_break='random')\n"
+            "try:\n"
+            "    main(['analytic', '--n', '16', '--t', '1', '--eta', '64', '--trials', '20'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={"PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
         model = amplitudes(8, 2)
@@ -323,6 +449,19 @@ class TestMonteCarlo:
         for seed in (0, 1, 7, 12345, 2**40 + 3):
             mc = monte_carlo_success_probability(model, pred, 4, trials=300, seed=seed, tie_break=tie)
             assert mc.estimate == eager_monte_carlo_estimate(pvec, pred.marks, 4, 300, seed, tie)
+
+    @pytest.mark.parametrize("tie", ["lowest_index", "random"])
+    def test_matches_dict_vote(self, tie):
+        for n in (2, 4, 8, 16):
+            for t in sorted({0, 1, 2, n // 2, n}):
+                pred = BooleanPredicate.from_marks(n, range(n - t + 1, n + 1))
+                model = amplitudes(n, t)
+                pvec = per_sample_distribution(model, pred)
+                pvec = pvec / pvec.sum()
+                seed = 1000 * n + t
+                mc = monte_carlo_success_probability(model, pred, 5, trials=150, seed=seed,
+                                                     tie_break=tie)
+                assert mc.estimate == dict_vote_monte_carlo_estimate(pvec, pred, 5, 150, seed, tie)
 
     def test_memory_does_not_grow_with_trials(self):
         model = amplitudes(2, 1)
