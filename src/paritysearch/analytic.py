@@ -24,6 +24,7 @@ failure to about 1e-10 relative (1e-13 measured at N=8 and N=16).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -237,6 +238,13 @@ def _tilt(classes: list[tuple[int, float]], m: np.ndarray, degree: np.ndarray,
     return u
 
 
+@functools.lru_cache(maxsize=64)
+def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
+    """log x and weights of the count-point Gauss-Legendre rule on [0, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(count)
+    return np.log((nodes + 1.0) / 2.0), weights / 2.0
+
+
 def _vote_win_probability(designated: list[bool], p_designated: float, p_other: float,
                           n_samples: int, tie_break: TieBreak) -> float:
     """Probability that the majority winner is one of the designated items.
@@ -282,14 +290,13 @@ def _vote_win_probability(designated: list[bool], p_designated: float, p_other: 
     # Random ties: the integrand is a polynomial in x of degree at most
     # min(N-1, eta-1), the most others that can tie, so Gauss-Legendre
     # with that many nodes over two is exact.
-    nodes, weights = np.polynomial.legendre.leggauss(min(n_items - 1, eta - 1) // 2 + 1)
-    log_x = np.log((nodes + 1.0) / 2.0)
+    log_x, weights = _gauss_legendre(min(n_items - 1, eta - 1) // 2 + 1)
     same = _power(_series(log_pd, u, m, log_fact, log_x), count - 1, [])
     other = _power(_series(log_po, u, m, log_fact, log_x), n_items - count, [])
-    value, scale = _coefficient(same, other, np.broadcast_to(degree, (len(nodes), eta)))
+    value, scale = _coefficient(same, other, np.broadcast_to(degree, (len(log_x), eta)))
     reachable = n_items * m >= eta
     terms = np.exp(np.where(reachable, log_weight + scale, -np.inf)) * value
-    return count * float((weights / 2.0) @ terms.sum(axis=-1))
+    return count * float(weights @ terms.sum(axis=-1))
 
 
 def _exact_vote(model: AmplitudeModel, pred: BooleanPredicate, n_samples: int,
