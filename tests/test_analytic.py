@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -397,7 +398,7 @@ class TestExactFailureProbability:
         )
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={"PYTHONPATH": src}, timeout=120)
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
