@@ -317,6 +317,10 @@ def _analytic_document(values: dict) -> dict:
         )
         result["success_probability_estimate"] = estimate.estimate
         result["success_probability_std_error"] = estimate.std_error
+        if estimate.estimate == 1.0:
+            # No trial failed: the exact one-sided 95% Clopper-Pearson bound,
+            # 1 - 0.05**(1/trials), about 3/trials.
+            result["failure_probability_upper_95"] = -math.expm1(math.log(0.05) / int(trials))
 
     t = pred.marked_count
     residual = abs(t * model.p_marked + (n - t) * model.p_unmarked - 1.0)

@@ -13,7 +13,6 @@ from functools import reduce
 import numpy as np
 
 from paritysearch import BooleanPredicate, RegisterLayout
-from paritysearch.circuit import winner_from_frequencies
 from paritysearch.statevector import StateVector
 
 
@@ -113,40 +112,26 @@ def matching_indices(n_qubits: int, controls, value: int, skip=None) -> np.ndarr
     return idx
 
 
-def eager_monte_carlo_estimate(pvec, marked, n_samples, trials, seed, tie_break) -> float:
-    """Majority success rate with every trial stream spawned up front."""
-    successes = 0
-    for stream in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(stream)
-        counts = rng.multinomial(n_samples, pvec)
-        best = counts.max()
-        tied = [j + 1 for j, c in enumerate(counts) if c == best]
-        if tie_break == "lowest_index":
-            winner = tied[0]
-        else:
-            winner = tied[int(rng.integers(len(tied)))]
-        successes += winner in marked
-    return successes / trials
+def chi_square_statistic(observed, expected) -> tuple[float, int]:
+    """Pearson's statistic and degrees of freedom over the cells expected > 0.
 
-
-def dict_vote_monte_carlo_estimate(pvec, pred, n_samples, trials, seed, tie_break) -> float:
-    """Majority success rate with each trial's vote taken over a frequency dict.
-
-    Same per-trial streams as the estimator (built as `SeedSequence.spawn`
-    would), with the winner picked by `winner_from_frequencies`.
+    A cell expected to stay empty must be empty: its term is infinite otherwise.
     """
-    root = np.random.SeedSequence(seed)
-    successes = 0
-    for i in range(trials):
-        stream = np.random.SeedSequence(
-            root.entropy, spawn_key=(*root.spawn_key, i), pool_size=root.pool_size
-        )
-        rng = np.random.default_rng(stream)
-        counts = rng.multinomial(n_samples, pvec)
-        frequencies = {j + 1: int(c) for j, c in enumerate(counts) if c > 0}
-        winner, _ = winner_from_frequencies(frequencies, tie_break, rng)
-        successes += pred.value(winner)
-    return successes / trials
+    observed = np.asarray(observed, dtype=float)
+    expected = np.asarray(expected, dtype=float)
+    live = expected > 0
+    if observed[~live].any():
+        return math.inf, int(live.sum()) - 1
+    statistic = float((((observed - expected) ** 2)[live] / expected[live]).sum())
+    return statistic, int(live.sum()) - 1
+
+
+def chi_square_bound(df: int, z: float = 4.75) -> float:
+    """Upper chi-square quantile by the Wilson-Hilferty cube; z=4.75 is one-sided 1e-6."""
+    if df <= 0:
+        return 0.0
+    spread = 2.0 / (9.0 * df)
+    return df * (1.0 - spread + z * math.sqrt(spread)) ** 3
 
 
 def _egf_product(a: list[int], b: list[int], limit: int) -> list[int]:

@@ -14,8 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
-    dict_vote_monte_carlo_estimate,
-    eager_monte_carlo_estimate,
+    chi_square_bound,
+    chi_square_statistic,
     exact_success_fraction,
     success_by_composition_enumeration,
     success_by_tuple_enumeration,
@@ -35,6 +35,9 @@ from paritysearch import (
     per_sample_distribution,
     scheduled_sample_count,
 )
+from paritysearch import analytic
+from paritysearch.analytic import _gauss_legendre, _majority_winners
+from paritysearch.circuit import winner_from_frequencies
 
 GRID_SIZES = [2**k for k in range(1, 11)]
 
@@ -402,6 +405,28 @@ class TestExactFailureProbability:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip().splitlines()[-1] == "[]"
 
+    def test_random_ties_import_no_numpy_polynomial(self):
+        script = (
+            "import sys\n"
+            "from paritysearch import BooleanPredicate, amplitudes, exact_success_probability\n"
+            "exact_success_probability(amplitudes(8, 3), BooleanPredicate.from_marks(8, [1, 4, 6]),"
+            " 40, tie_break='random')\n"
+            "print('numpy.polynomial' in sys.modules)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip().splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("count", [*range(1, 40), 64, 128, 256, 512])
+    def test_gauss_legendre_integrates_monomials(self, count):
+        # Exact for x^k, k <= 2*count - 1, on [0, 1]: the integral is 1/(k+1).
+        log_x, weights = _gauss_legendre(count)
+        k = np.arange(2 * count)
+        integrals = np.exp(np.outer(k, log_x)) @ weights
+        assert np.abs(integrals * (k + 1) - 1.0).max() <= 1e-13
+
 
 class TestMonteCarlo:
     def test_deterministic_given_seed(self):
@@ -442,27 +467,91 @@ class TestMonteCarlo:
                     assert abs(mc.estimate - exact) <= tolerance
 
     @pytest.mark.parametrize("tie", ["lowest_index", "random"])
-    def test_streams_match_eager_spawn(self, tie):
-        model = amplitudes(8, 3)
-        pred = BooleanPredicate.from_marks(8, [2, 5, 8])
-        pvec = per_sample_distribution(model, pred)
-        pvec = pvec / pvec.sum()
-        for seed in (0, 1, 7, 12345, 2**40 + 3):
-            mc = monte_carlo_success_probability(model, pred, 4, trials=300, seed=seed, tie_break=tie)
-            assert mc.estimate == eager_monte_carlo_estimate(pvec, pred.marks, 4, 300, seed, tie)
+    def test_chunk_streams_match_eager_spawn(self, tie):
+        # Chunk k draws from the k-th child of SeedSequence(seed).spawn, built lazily.
+        n, eta = 8, 5
+        model = amplitudes(n, 3)
+        pred = BooleanPredicate.from_marks(n, [2, 5, 8])
+        is_marked = np.array([pred.value(j) for j in range(1, n + 1)], dtype=bool)
+        draw, width = analytic._count_draw(model, is_marked, eta)
+        chunk = analytic._CHUNK_ENTRIES // width
+        trials = 2 * chunk + 7
+        for seed in (0, 7, 2**40 + 3):
+            successes = 0
+            for k, stream in enumerate(np.random.SeedSequence(seed).spawn(3)):
+                rng = np.random.default_rng(stream)
+                counts = draw(rng, min(chunk, trials - k * chunk))
+                successes += int(is_marked[_majority_winners(counts, tie, rng)].sum())
+            mc = monte_carlo_success_probability(model, pred, eta, trials=trials, seed=seed,
+                                                 tie_break=tie)
+            assert mc.estimate == successes / trials
+
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_lowest_index_vote_matches_frequency_vote(self, n):
+        counts = np.random.default_rng(n).integers(0, 3, size=(2000, n))
+        counts[counts.sum(axis=1) == 0, 0] = 1  # every trial draws a sample
+        winners = _majority_winners(counts, "lowest_index", np.random.default_rng(0))
+        for row, winner in zip(counts, winners):
+            frequencies = {j + 1: int(c) for j, c in enumerate(row) if c > 0}
+            assert winner + 1 == winner_from_frequencies(frequencies, "lowest_index")[0]
+
+    def test_random_vote_is_uniform_among_ties(self):
+        row = np.array([2, 5, 5, 1, 5, 0, 5, 4])
+        tied = row == row.max()
+        trials = 40_000
+        winners = _majority_winners(np.tile(row, (trials, 1)), "random", np.random.default_rng(3))
+        observed = np.bincount(winners, minlength=len(row))
+        statistic, df = chi_square_statistic(observed, np.where(tied, trials / tied.sum(), 0.0))
+        assert statistic <= chi_square_bound(df)
+
+    @pytest.mark.parametrize("draw_kind", ["sampling", "multinomial"])
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_count_draws_follow_the_distribution(self, n, draw_kind):
+        # eta one below the boundary samples; at the boundary, the multinomial draws.
+        eta = analytic._SAMPLING_SAMPLES_PER_ITEM * n - (draw_kind == "sampling")
+        rows = 3000
+        for t in sorted({0, 1, n // 2, 3 * n // 4, n}):
+            marks = np.random.default_rng(10 * n + t).choice(n, t, replace=False) + 1
+            pred = BooleanPredicate.from_marks(n, marks.tolist())
+            model = amplitudes(n, t)
+            pvec = per_sample_distribution(model, pred)
+            is_marked = np.array([pred.value(j) for j in range(1, n + 1)], dtype=bool)
+            draw, width = analytic._count_draw(model, is_marked, eta)
+            assert width == (max(eta, n) if draw_kind == "sampling" else n)
+            counts = draw(np.random.default_rng(n + t), rows)
+            assert counts.shape == (rows, n)
+            assert (counts.sum(axis=1) == eta).all()
+            statistic, df = chi_square_statistic(counts.sum(axis=0), rows * eta * pvec / pvec.sum())
+            assert statistic <= chi_square_bound(df), (t, statistic, df)
 
     @pytest.mark.parametrize("tie", ["lowest_index", "random"])
-    def test_matches_dict_vote(self, tie):
-        for n in (2, 4, 8, 16):
-            for t in sorted({0, 1, 2, n // 2, n}):
-                pred = BooleanPredicate.from_marks(n, range(n - t + 1, n + 1))
-                model = amplitudes(n, t)
-                pvec = per_sample_distribution(model, pred)
-                pvec = pvec / pvec.sum()
-                seed = 1000 * n + t
-                mc = monte_carlo_success_probability(model, pred, 5, trials=150, seed=seed,
-                                                     tie_break=tie)
-                assert mc.estimate == dict_vote_monte_carlo_estimate(pvec, pred, 5, 150, seed, tie)
+    @pytest.mark.parametrize("n", [2, 4, 8, 16])
+    def test_estimates_within_five_sigma_of_rationals(self, n, tie):
+        trials = 100_000
+        boundary = analytic._SAMPLING_SAMPLES_PER_ITEM * n
+        for t in sorted({0, 1, n // 2, 3 * n // 4, n}):
+            pred = BooleanPredicate.from_marks(n, range(1, t + 1))
+            model = amplitudes(n, t)
+            for eta in (boundary // 2 - 1, boundary):  # a sampled and a multinomial point
+                exact = float(exact_success_fraction(n, pred.marks, eta, tie))
+                mc = monte_carlo_success_probability(model, pred, eta, trials=trials,
+                                                     seed=100 * n + t, tie_break=tie)
+                sigma = math.sqrt(exact * (1.0 - exact) / trials)
+                assert abs(mc.estimate - exact) <= 5 * sigma, (t, eta, mc.estimate, exact)
+
+    @pytest.mark.parametrize("eta, trials", [(102_400, 3), (1280, 2000)])
+    def test_memory_bound_holds_for_any_trials_and_samples(self, eta, trials):
+        # Chunks hold at most 2**15 entries per array, whatever the trials or eta.
+        model = amplitudes(1024, 1)
+        pred = BooleanPredicate.from_marks(1024, [1])
+        monte_carlo_success_probability(model, pred, eta, trials=1, seed=3)  # lazy imports
+        tracemalloc.start()
+        try:
+            monte_carlo_success_probability(model, pred, eta, trials=trials, seed=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_500_000
 
     def test_memory_does_not_grow_with_trials(self):
         model = amplitudes(2, 1)

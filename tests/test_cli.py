@@ -86,6 +86,24 @@ class TestAnalytic:
         assert doc["result"]["success_probability_estimate"] >= 0.99
         assert doc["result"]["success_probability_exact"] >= 0.99
 
+    def test_failure_bound_when_every_trial_succeeds(self, runner):
+        doc = invoke_json(
+            runner, ["analytic", "--n", "4", "--t", "1", "--eta", "3", "--trials", "100", "--seed", "0"]
+        )
+        result = doc["result"]
+        assert result["success_probability_estimate"] == 1.0
+        assert result["success_probability_std_error"] == 0.0
+        assert result["failure_probability_upper_95"] == pytest.approx(1 - 0.05 ** (1 / 100), rel=1e-14)
+        # The one-sided Clopper-Pearson bound at zero failures: (1 - bound)**trials = 0.05.
+        assert (1 - result["failure_probability_upper_95"]) ** 100 == pytest.approx(0.05, rel=1e-12)
+
+    def test_no_failure_bound_when_a_trial_fails(self, runner):
+        for args in (["--n", "16", "--t", "1", "--eta", "8", "--trials", "2000", "--seed", "21"],
+                     ["--n", "8", "--t", "4", "--eta", "5", "--trials", "300", "--seed", "2"],
+                     ["--n", "16", "--t", "1", "--eta", "64"]):
+            doc = invoke_json(runner, ["analytic", *args])
+            assert "failure_probability_upper_95" not in doc["result"]
+
     def test_nothing_marked(self, runner):
         doc = invoke_json(runner, ["analytic", "--n", "2", "--t", "0", "--eta", "3"])
         assert doc["result"]["success_probability_exact"] == 0.0
