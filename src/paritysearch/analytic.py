@@ -243,7 +243,8 @@ def _tilt(classes: list[tuple[int, float]], m: np.ndarray, degree: np.ndarray,
     return u
 
 
-_LEGENDRE_NEWTON_STEPS = 100
+# A cap, not a count: Newton's method stops after 4-5 steps up to count=1000.
+_LEGENDRE_NEWTON_STEPS = 10
 
 
 @functools.lru_cache(maxsize=64)
