@@ -375,11 +375,11 @@ class MonteCarloEstimate:
     std_error: float
 
 
-# Monte Carlo runs its trials in chunks of 2**15 // width trials, width
+# Monte Carlo runs its trials in chunks of max(1, 2**15 // width), width
 # being the row length of the chunk's largest array: max(eta, N) when
-# sampling, N for the multinomial draw, which holds nothing eta-sized.  An
-# array thus holds at most 2**15 entries (256 KiB as int64 or float64), and
-# memory grows with neither trials nor n_samples.
+# sampling (below 4N), N for the multinomial draw, which holds nothing
+# eta-sized.  An array thus holds at most max(2**15, 4N) entries, 256 KiB as
+# int64 or float64 up to N=8192, whatever the trials or n_samples.
 _CHUNK_ENTRIES = 1 << 15
 # Below this many samples per item each sample is drawn on its own, O(eta)
 # per trial; from it on one multinomial call draws the counts, O(N) per
