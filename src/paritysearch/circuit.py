@@ -84,7 +84,14 @@ def layout_for(params: SearchParameters) -> RegisterLayout:
     )
 
 
-def _check_capacity(layout: RegisterLayout, cap: int | None) -> None:
+def _checked_layout(
+    params: SearchParameters, pred: BooleanPredicate, cap: int | None
+) -> RegisterLayout:
+    """The instance's layout, once the predicate fits it and its qubits fit
+    the cap.  Both checks allocate nothing."""
+    if pred.size != params.n_items:
+        raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
+    layout = layout_for(params)
     cap = sv.qubit_cap() if cap is None else cap
     if layout.total_qubits > cap:
         raise CapacityError(
@@ -92,6 +99,7 @@ def _check_capacity(layout: RegisterLayout, cap: int | None) -> None:
             f"= {layout.total_qubits} qubits, above the cap of {cap} "
             f"(override with {sv.QUBIT_CAP_ENV_VAR})"
         )
+    return layout
 
 
 def _occurrence_parity_pass(layout: RegisterLayout, step: str) -> list[GateRecord]:
@@ -115,10 +123,7 @@ def build_circuit(
     params: SearchParameters, pred: BooleanPredicate, cap: int | None = None
 ) -> list[GateRecord]:
     """Emit the ordered gate list for one search instance."""
-    if pred.size != params.n_items:
-        raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
-    layout = layout_for(params)
-    _check_capacity(layout, cap)
+    layout = _checked_layout(params, pred, cap)
 
     records: list[GateRecord] = []
     for q in layout.all_sample_qubits():
@@ -180,20 +185,24 @@ def _occurrence_masks(layout: RegisterLayout) -> np.ndarray:
 
 
 def _apply_step(
-    state: StateVector, layout: RegisterLayout, step: str, records: list[GateRecord]
+    state: StateVector, layout: RegisterLayout, pred: BooleanPredicate, step: str
 ) -> None:
-    """Apply one step's records as fused passes where a step has one."""
+    """Apply one step, derived from the layout and the predicate, as the
+    fused pass where the step has one."""
+    ancilla = layout.ancilla_qubit
     if step == "step2a":
-        sv.apply_hadamards(state, [r.target for r in records])
+        sv.apply_hadamards(state, [*layout.all_sample_qubits(), ancilla])
+    elif step == "step2b":
+        sv.apply_sigma_z(state, ancilla)
     elif step in ("step3", "step5"):
         sv.apply_xor_permutation(
             state, layout.item_bits * layout.n_samples, _occurrence_masks(layout)
         )
-    elif step == "step6":
-        sv.apply_register_inversions(state, layout.item_bits, layout.n_samples)
+    elif step == "step4":
+        for j in sorted(pred.marks):
+            sv.apply_value_controlled_flip(state, (layout.incidence_qubit(j),), 1, ancilla)
     else:
-        for record in records:
-            apply_record(state, record)
+        sv.apply_register_inversions(state, layout.item_bits, layout.n_samples)
 
 
 def run_circuit(
@@ -206,38 +215,52 @@ def run_circuit(
 
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
-    cannot hold.  Without it, steps 2a and 6 each go through the block
-    kernel of `statevector`: step 2a as Hadamard blocks, step 6 as one
-    reflection block I - 2J/N per sample register, the low blocks one
+    cannot hold.  Without it, no gate list is built: each step is derived
+    from the layout and the predicate.  Steps 2a and 6 each go through the
+    block kernel of `statevector`: step 2a as Hadamard blocks, step 6 as
+    one reflection block I - 2J/N per sample register, the low blocks one
     cache-sized piece of the state at a time.  Steps 3 and 5 are each one
     XOR permutation of the incidence register keyed by the sample
-    registers.  Each fused step equals its records up to rounding.  Steps
-    2b and 4 apply their records either way.
+    registers.  Steps 2b and 4 apply their gates one by one.  Each step
+    equals its records up to rounding.  Both runs check the predicate
+    size and the qubit cap before they allocate.
     """
+    if not capture:
+        layout = _checked_layout(params, pred, cap)
+        state = sv.zero_state(layout.total_qubits, cap=cap)
+        for step in STEP_ORDER:
+            _apply_step(state, layout, pred, step)
+        return CircuitRun(final_state=state)
+
     records = build_circuit(params, pred, cap=cap)
     layout = layout_for(params)
-    if capture:
-        sv.check_memory(layout.total_qubits, copies=7)
+    sv.check_memory(layout.total_qubits, copies=7)
     state = sv.zero_state(layout.total_qubits, cap=cap)
-
-    intermediates: dict[str, StateVector] | None = None
-    if capture:
-        intermediates = {"step1": state.copy()}
-
-    by_step = {step: [] for step in STEP_ORDER}
-    for record in records:
-        by_step[record.step].append(record)
+    intermediates = {"step1": state.copy()}
     snapshot_after = {"step2b": "step2", "step3": "step3", "step4": "step4",
                       "step5": "step5", "step6": "step6"}
     for step in STEP_ORDER:
-        if not capture:
-            _apply_step(state, layout, step, by_step[step])
-            continue
-        for record in by_step[step]:
-            apply_record(state, record)
+        for record in records:
+            if record.step == step:
+                apply_record(state, record)
         if step in snapshot_after:
             intermediates[snapshot_after[step]] = state.copy()
     return CircuitRun(final_state=state, intermediates=intermediates)
+
+
+def _sample_marginal(final_state: StateVector, layout: RegisterLayout) -> np.ndarray:
+    """Joint probabilities of the sample qubits' values, as
+    `marginal_distribution` over all sample qubits gives them.
+
+    The k sample qubits are the lowest ones, so each column of the float
+    view's rows of 2 << k floats holds one part (real or imaginary) of
+    one joint value: one two-axis contraction sums its squares, and each
+    column pair then sums to a probability.
+    """
+    rows = final_state.amplitudes.view(np.float64).reshape(
+        -1, 2 << (layout.item_bits * layout.n_samples)
+    )
+    return np.einsum("ij,ij->j", rows, rows).reshape(-1, 2).sum(axis=1)
 
 
 def measure_samples(
@@ -257,8 +280,7 @@ def measure_samples(
         )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    joint = sv.marginal_distribution(final_state, layout.all_sample_qubits())
-    joint = joint.reshape((layout.n_items,) * layout.n_samples)
+    joint = _sample_marginal(final_state, layout).reshape((layout.n_items,) * layout.n_samples)
     values = []
     # Register i is the digit of weight N**(i-1), axis n_samples - i.
     for axis in reversed(range(layout.n_samples)):

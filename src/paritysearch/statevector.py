@@ -16,16 +16,18 @@ qubit in the list.  Gates mutate the state in place and return it.
 
 They act on basic-indexing views of the amplitudes reshaped to one
 length-2 axis per qubit.  Temporaries are bounded chunks, never a share
-of the state: a flip swaps through a buffer of two slabs, and the blocks
-and the XOR permutation work one cache-sized piece at a time.  Blocks on
-qubits below 15 all act on one contiguous piece of 2**15 amplitudes
-before the next, so one read of the state serves all of them.  The
-two-pass inversion holds one register mean per setting of the other
-qubits.  Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits
-larger calls across threads, and on a 2-CPU machine waking the second
-thread costs more than it saves (a tail of milliseconds per call).
-Marginals contract a float view of the state.  `zero_state` refuses a
-state that physical memory cannot hold.
+of the state: each holds at most one piece of 2**15 amplitudes, and
+less than the state.  A flip swaps through a buffer of two slabs; the
+blocks work one piece at a time, and the XOR permutation one piece or a
+quarter of the state, whichever is smaller.  Blocks on qubits below 15
+all act on one contiguous piece before the next, so one read of the
+state serves all of them.  The literal inversion about average is the
+exception: it holds one register mean per setting of the other qubits.
+Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits larger
+calls across threads, and on a 2-CPU machine waking the second thread
+costs more than it saves (a tail of milliseconds per call).  Marginals
+contract a float view of the state.  `zero_state` refuses a state that
+physical memory cannot hold.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per piece for the blocks and the XOR permutation: about a
 # level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
+# A block widened to rows of at most this many floats beats the block
+# times short slices (see `_apply_block`).
+_WIDE_ROW_FLOATS = 32
 # A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
 _SWAP_AXES = 12
 
@@ -208,46 +213,56 @@ def _qubit_runs(qubits: Sequence[int]) -> list[list[int]]:
     return runs
 
 
-@lru_cache(maxsize=8)
-def _block(kind: str, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """A real symmetric block on `width` qubits and its (re, im) widening.
+@lru_cache(maxsize=32)
+def _block(kind: str, width: int, copies: int) -> np.ndarray:
+    """kron(B, I_copies) for a real symmetric block B on `width` qubits.
 
     "hadamard" is H (x) ... (x) H; every factor is the same, so the bit
     order needs no care.  "inversion" is I - 2J/2**width, J all ones: the
-    inversion about average on one register.  The widening kron(block, I2)
-    acts on rows of interleaved real and imaginary parts.  Both are
-    read-only, since every caller shares them.
+    inversion about average on one register.  With copies = 2 << start
+    the matrix acts on rows of interleaved real and imaginary parts of a
+    block on qubits start, start+1, ...; with copies = 1 it is B.
+    Read-only, since every caller shares it.
     """
     if kind == "hadamard":
         block = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
         block /= math.sqrt(2.0**width)
     else:
         block = np.eye(1 << width) - 2.0 / (1 << width)
-    wide = np.kron(block, np.eye(2))
+    block = np.kron(block, np.eye(copies))
     block.setflags(write=False)
-    wide.setflags(write=False)
-    return block, wide
+    return block
 
 
-def _apply_block(floats: np.ndarray, block: tuple[np.ndarray, np.ndarray], start: int) -> None:
-    """Multiply the float view of some amplitudes by a `_block` pair that
-    acts on qubits start, start+1, ..., in place.
+def _apply_block(floats: np.ndarray, kind: str, start: int, width: int) -> None:
+    """Multiply the float view of some amplitudes by a `_block` on qubits
+    start .. start+width-1, in place.
 
     The block is real, so it acts on the real and imaginary parts alike.
-    At qubit 0, rows of interleaved parts meet the widened block on the
-    right; higher up, the block multiplies pieces of the
-    (-1, size, 2 << start) view from the left.
+    The block times pieces of the (-1, 2**width, 2 << start) view makes
+    one small BLAS call per slice of 2 << start floats, which costs most
+    where those slices are short.  There, rows of 2**width * (2 << start)
+    floats meet the widened block kron(B, I_(2 << start)) on the right
+    instead, which does 2 << start times the arithmetic.  On one
+    2**15-amplitude piece (2-CPU x86-64, NumPy 2.4) the widened block
+    wins up to rows of _WIDE_ROW_FLOATS floats: a width-1 inversion takes
+    60 against 341 us at start 1 and 119 against 171 us at start 3, and a
+    width-3 one 130 against 252 us at start 1.  At 64 floats it loses:
+    217 against 157 us for width 3 at start 2, 194 against 84 us for
+    width 1 at start 4.  At start 0 the slices hold 2 floats, so it
+    always widens.
     """
-    matrix, wide = block
-    size = len(matrix)
-    if start == 0:
-        rows = floats.reshape(-1, 2 * size)
-        step = min(_BLAS_AMPLITUDES // size, len(rows))
-        out = np.empty((step, 2 * size))
+    if start == 0 or (2 << start) << width <= _WIDE_ROW_FLOATS:
+        matrix = _block(kind, width, 2 << start)
+        rows = floats.reshape(-1, len(matrix))
+        step = min(2 * _BLAS_AMPLITUDES // len(matrix), len(rows))
+        out = np.empty((step, len(matrix)))
         for r in range(0, len(rows), step):
-            np.matmul(rows[r : r + step], wide, out=out)
+            np.matmul(rows[r : r + step], matrix, out=out)
             rows[r : r + step] = out
         return
+    matrix = _block(kind, width, 1)
+    size = len(matrix)
     v = floats.reshape(-1, size, 2 << start)
     cols = min(v.shape[2], 2 * _BLAS_AMPLITUDES // size)
     step = min(2 * _BLAS_AMPLITUDES // (size * cols), len(v))
@@ -269,16 +284,16 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     """
     floats = state.amplitudes.view(np.float64)
     piece_qubits = _PIECE_AMPLITUDES.bit_length() - 1
-    low = [(_block(k, w), s) for k, s, w in runs if s + w <= piece_qubits]
-    high = [(_block(k, w), s) for k, s, w in runs if s + w > piece_qubits]
+    low = [run for run in runs if run[1] + run[2] <= piece_qubits]
+    high = [run for run in runs if run[1] + run[2] > piece_qubits]
     if low:
         step = 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)
         for p in range(0, floats.size, step):
             piece = floats[p : p + step]
-            for block, start in low:
-                _apply_block(piece, block, start)
-    for block, start in high:
-        _apply_block(floats, block, start)
+            for run in low:
+                _apply_block(piece, *run)
+    for run in high:
+        _apply_block(floats, *run)
 
 
 def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
@@ -318,8 +333,13 @@ def apply_xor_permutation(
 
     c is the value of the lowest `low_qubits` qubits and h that of the
     rest.  XOR is an involution, so gathering row h XOR masks[c] of each
-    column c is the permutation itself.  Columns go in blocks of about
-    2**15 amplitudes (one column at least), gathered into fixed buffers.
+    column c is the permutation itself.  Columns go in blocks of at most
+    one piece and a quarter of the state (one column at least), gathered
+    into fixed buffers.  The block's index and gathered amplitudes take
+    24 bytes per amplitude, and NumPy buffers each broadcast operand of
+    the index's XOR in 64 KiB, so together they stay below the state: a
+    block of the whole state would hold 1.5 times the state, memory that
+    the allocator hands back to the system between calls.
     """
     if not 0 <= low_qubits <= state.n_qubits:
         raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
@@ -330,7 +350,8 @@ def apply_xor_permutation(
     if masks.min() < 0 or masks.max() >= high:
         raise DomainError(f"masks must lie in 0..{high - 1}")
     grid = state.amplitudes.reshape(high, width)
-    cols = min(width, max(_PIECE_AMPLITUDES // high, 1))
+    block = min(_PIECE_AMPLITUDES, state.amplitudes.size // 4)
+    cols = min(width, max(block // high, 1))
     # The flat index of |h XOR masks[c], c> is (h << low) XOR (masks[c] << low | c).
     # A block reads only its own columns, so it can be written back at once.
     rows = np.arange(high, dtype=np.intp)[:, None] << low_qubits

@@ -26,7 +26,7 @@ from paritysearch import (
     run_search,
 )
 from paritysearch import statevector as sv
-from paritysearch.circuit import _occurrence_masks, apply_record
+from paritysearch.circuit import _occurrence_masks, _sample_marginal, apply_record
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
@@ -194,6 +194,18 @@ class TestRunCircuit:
         apply_xor_permutation(fused, layout.item_bits * eta, masks)
         assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
+    def test_uncaptured_run_checks_before_allocating(self, monkeypatch):
+        # The run derives its steps without the gate list, so it makes
+        # build_circuit's predicate-size and capacity checks itself.
+        def no_state(*args, **kwargs):
+            raise AssertionError("a state was allocated")
+
+        monkeypatch.setattr(sv, "zero_state", no_state)
+        with pytest.raises(DomainError, match="predicate size"):
+            run_circuit(SearchParameters(4, 1), BooleanPredicate.from_marks(2, [1]))
+        with pytest.raises(CapacityError, match=r"5\*4\+32\+1 = 53 qubits"):
+            run_circuit(SearchParameters(32, 4), BooleanPredicate.from_marks(32, [1]))
+
     def test_capture_refuses_what_memory_cannot_hold(self, monkeypatch):
         # Memory is probed as three states: the working state alone fits,
         # the seven that capture keeps do not, and nothing is allocated.
@@ -264,6 +276,28 @@ class TestMeasurement:
                 for i in range(1, eta + 1):
                     marg = marginal_distribution(final, layout.sample_qubits(i))
                     expected.append(int(rng.choice(n, p=marg / marg.sum())) + 1)
+                assert measure_samples(final, layout, rng=seed).values == tuple(expected)
+
+    @pytest.mark.parametrize("n, eta", [(n, eta) for n in (2, 4, 8) for eta in (1, 2, 3)])
+    def test_two_axis_marginal_matches_tensor_marginal(self, n, eta):
+        # On entangled random states, not only the circuit's product states.
+        layout = layout_for(SearchParameters(n, eta))
+        qubits = layout.all_sample_qubits()
+        rng = np.random.default_rng(n * 10 + eta)
+        for _ in range(3):
+            size = 1 << layout.total_qubits
+            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+            final = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
+            tensor = marginal_distribution(final, qubits)
+            assert np.max(np.abs(_sample_marginal(final, layout) - tensor)) <= 1e-15
+            # Fixed seeds draw what the tensor-view marginal would feed rng.choice.
+            joint = tensor.reshape((n,) * eta)
+            for seed in range(5):
+                draws = np.random.default_rng(seed)
+                expected = []
+                for axis in reversed(range(eta)):
+                    marg = joint.sum(axis=tuple(a for a in range(eta) if a != axis))
+                    expected.append(int(draws.choice(n, p=marg / marg.sum())) + 1)
                 assert measure_samples(final, layout, rng=seed).values == tuple(expected)
 
     def test_zero_unmarked_amplitude_forces_marked_samples(self):

@@ -258,6 +258,24 @@ class TestFusedPrimitives:
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.check_hadamards(8, qubits, seed=len(qubits))
 
+    # Widths 1-3 from start 0 up: the widened block at the low starts, the
+    # block times the (-1, 2**width, 2 << start) view above them.
+    @pytest.mark.parametrize("kind", ["hadamard", "inversion"])
+    @pytest.mark.parametrize("width", [1, 2, 3])
+    @pytest.mark.parametrize("start", range(6))
+    def test_block_at_each_start(self, kind, width, start):
+        n = 9
+        state = random_state(n, seed=start * 4 + width)
+        expected = state.copy()
+        register = range(start, start + width)
+        if kind == "hadamard":
+            for q in register:
+                apply_hadamard(expected, q)
+        else:
+            apply_inversion_about_average(expected, register)
+        sv._apply_block(state.amplitudes.view(np.float64), kind, start, width)
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+
     @staticmethod
     def check_register_inversions(n, width, count, seed):
         state = random_state(n, seed)
@@ -344,8 +362,12 @@ class TestMemoryContract:
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one; the XOR pass
-    holds a piece of 2**15 amplitudes with its int64 row index.  Fixed
-    bounds leave room for the Python objects made per call.
+    holds a block of at most 2**15 amplitudes and a quarter of the state,
+    with its int64 index, and NumPy's 128 KiB of buffers for the index's
+    broadcast XOR: up to about 1 MiB here, and 330 KiB for the 15-qubit
+    state of N=8, eta=2 (512 KiB), where a block of the whole state held
+    900 KiB.
+    Fixed bounds leave room for the Python objects made per call.
     """
 
     BUFFER_BOUND = 256 * 1024
@@ -405,6 +427,14 @@ class TestMemoryContract:
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
         peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
         assert peak <= self.XOR_BOUND
+
+    def test_xor_permutation_below_a_small_state(self):
+        # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
+        n, low = 15, 6
+        state = random_state(n, seed=2)
+        masks = np.arange(1 << low) % (1 << (n - low))
+        peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
+        assert peak < state.amplitudes.nbytes
 
 
 class TestInversionAboutAverage:
