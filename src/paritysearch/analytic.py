@@ -98,7 +98,7 @@ def per_sample_distribution(model: AmplitudeModel, pred: BooleanPredicate) -> np
 
 
 def analytic_product_state(
-    model: AmplitudeModel, pred: BooleanPredicate, n_samples: int, cap: int | None = None
+    model: AmplitudeModel, pred: BooleanPredicate, n_samples: int
 ) -> StateVector:
     """The n_samples-fold product of the single-register state.
 
@@ -110,12 +110,7 @@ def analytic_product_state(
         raise DomainError(f"sample count must be >= 1, got {n_samples}")
     item_bits = model.n_items.bit_length() - 1
     total_qubits = item_bits * n_samples
-    cap = sv.qubit_cap() if cap is None else cap
-    if total_qubits > cap:
-        raise CapacityError(
-            f"product state needs {item_bits}*{n_samples} = {total_qubits} qubits, "
-            f"above the cap of {cap}"
-        )
+    sv.check_capacity(total_qubits, 1, "product state", f"{item_bits}*{n_samples}")
     single = np.array(
         [model.marked_amp if pred.value(j) else model.unmarked_amp
          for j in range(1, model.n_items + 1)],
@@ -125,15 +120,6 @@ def analytic_product_state(
     for _ in range(n_samples - 1):
         full = np.kron(full, single)
     return StateVector(total_qubits, full)
-
-
-def _check_exact_work(n_items: int, n_samples: int, work_cap: int) -> None:
-    work = n_items * (n_samples + 1) ** 3
-    if work > work_cap:
-        raise CapacityError(
-            f"exact computation needs ~{work} cell updates, above the cap of "
-            f"{work_cap}; use the Monte Carlo estimator instead"
-        )
 
 
 # The engine.  Fix a designated item d with probability p_d and its count
@@ -324,13 +310,18 @@ def _vote_win_probability(designated: list[bool], p_designated: float, p_other: 
 
 
 def _exact_vote(model: AmplitudeModel, pred: BooleanPredicate, n_samples: int,
-                tie_break: TieBreak, work_cap: int, marked_wins: bool) -> float:
+                tie_break: TieBreak, marked_wins: bool) -> float:
     _check_predicate(model, pred)
     if n_samples < 1:
         raise DomainError(f"sample count must be >= 1, got {n_samples}")
     if tie_break not in ("lowest_index", "random"):
         raise DomainError(f"unknown tie-break policy {tie_break!r}")
-    _check_exact_work(model.n_items, n_samples, work_cap)
+    work = model.n_items * (n_samples + 1) ** 3
+    if work > DEFAULT_EXACT_WORK_CAP:
+        raise CapacityError(
+            f"exact computation needs ~{work} cell updates, above the cap of "
+            f"{DEFAULT_EXACT_WORK_CAP}; use the Monte Carlo estimator instead"
+        )
     designated = [pred.value(j) == marked_wins for j in range(1, model.n_items + 1)]
     p_designated, p_other = model.p_marked, model.p_unmarked
     if not marked_wins:
@@ -343,7 +334,6 @@ def exact_success_probability(
     pred: BooleanPredicate,
     n_samples: int,
     tie_break: TieBreak = "lowest_index",
-    work_cap: int = DEFAULT_EXACT_WORK_CAP,
 ) -> float:
     """Exact probability that the majority winner is a marked item.
 
@@ -351,7 +341,7 @@ def exact_success_probability(
     vectors, crediting each by its tie-break outcome (random ties are
     credited fractionally).
     """
-    return _exact_vote(model, pred, n_samples, tie_break, work_cap, marked_wins=True)
+    return _exact_vote(model, pred, n_samples, tie_break, marked_wins=True)
 
 
 def exact_failure_probability(
@@ -359,14 +349,13 @@ def exact_failure_probability(
     pred: BooleanPredicate,
     n_samples: int,
     tie_break: TieBreak = "lowest_index",
-    work_cap: int = DEFAULT_EXACT_WORK_CAP,
 ) -> float:
     """Exact probability that the majority winner is an unmarked item.
 
     Summed directly over unmarked winners, not taken as 1 minus the
     success probability, so it keeps its relative accuracy when tiny.
     """
-    return _exact_vote(model, pred, n_samples, tie_break, work_cap, marked_wins=False)
+    return _exact_vote(model, pred, n_samples, tie_break, marked_wins=False)
 
 
 @dataclass(frozen=True)

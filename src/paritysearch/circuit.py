@@ -26,7 +26,7 @@ from typing import Iterable, Literal, Mapping
 import numpy as np
 
 from . import statevector as sv
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .oracle import BooleanPredicate, SampleTuple, SearchParameters
 from .statevector import RegisterLayout, StateVector
 
@@ -85,20 +85,18 @@ def layout_for(params: SearchParameters) -> RegisterLayout:
 
 
 def _checked_layout(
-    params: SearchParameters, pred: BooleanPredicate, cap: int | None
+    params: SearchParameters, pred: BooleanPredicate, copies: int
 ) -> RegisterLayout:
-    """The instance's layout, once the predicate fits it and its qubits fit
-    the cap.  Both checks allocate nothing."""
+    """The instance's layout, once the predicate fits it and `copies` of
+    its state fit the capacity (see `statevector.check_capacity`).  Both
+    checks allocate nothing."""
     if pred.size != params.n_items:
         raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
     layout = layout_for(params)
-    cap = sv.qubit_cap() if cap is None else cap
-    if layout.total_qubits > cap:
-        raise CapacityError(
-            f"instance needs {layout.item_bits}*{layout.n_samples}+{layout.n_items}+1 "
-            f"= {layout.total_qubits} qubits, above the cap of {cap} "
-            f"(override with {sv.QUBIT_CAP_ENV_VAR})"
-        )
+    sv.check_capacity(
+        layout.total_qubits, copies, "instance",
+        f"{layout.item_bits}*{layout.n_samples}+{layout.n_items}+1",
+    )
     return layout
 
 
@@ -119,11 +117,9 @@ def _occurrence_parity_pass(layout: RegisterLayout, step: str) -> list[GateRecor
     return records
 
 
-def build_circuit(
-    params: SearchParameters, pred: BooleanPredicate, cap: int | None = None
-) -> list[GateRecord]:
+def build_circuit(params: SearchParameters, pred: BooleanPredicate) -> list[GateRecord]:
     """Emit the ordered gate list for one search instance."""
-    layout = _checked_layout(params, pred, cap)
+    layout = _checked_layout(params, pred, copies=0)  # the list holds no state
 
     records: list[GateRecord] = []
     for q in layout.all_sample_qubits():
@@ -209,7 +205,6 @@ def run_circuit(
     params: SearchParameters,
     pred: BooleanPredicate,
     capture: bool = False,
-    cap: int | None = None,
 ) -> CircuitRun:
     """Execute the circuit; with capture, snapshot the state after each step.
 
@@ -223,19 +218,16 @@ def run_circuit(
     XOR permutation of the incidence register keyed by the sample
     registers.  Steps 2b and 4 apply their gates one by one.  Each step
     equals its records up to rounding.  Both runs check the predicate
-    size and the qubit cap before they allocate.
+    size and the capacity for the states they keep before they allocate.
     """
+    layout = _checked_layout(params, pred, copies=7 if capture else 1)
+    state = sv.zero_state(layout.total_qubits)
     if not capture:
-        layout = _checked_layout(params, pred, cap)
-        state = sv.zero_state(layout.total_qubits, cap=cap)
         for step in STEP_ORDER:
             _apply_step(state, layout, pred, step)
         return CircuitRun(final_state=state)
 
-    records = build_circuit(params, pred, cap=cap)
-    layout = layout_for(params)
-    sv.check_memory(layout.total_qubits, copies=7)
-    state = sv.zero_state(layout.total_qubits, cap=cap)
+    records = build_circuit(params, pred)
     intermediates = {"step1": state.copy()}
     snapshot_after = {"step2b": "step2", "step3": "step3", "step4": "step4",
                       "step5": "step5", "step6": "step6"}
@@ -337,10 +329,9 @@ def run_search(
     pred: BooleanPredicate,
     seed: int | None = None,
     tie_break: TieBreak = "lowest_index",
-    cap: int | None = None,
 ) -> SearchOutcome:
     """Full pipeline: simulate, measure every register, majority-vote."""
-    run = run_circuit(params, pred, capture=False, cap=cap)
+    run = run_circuit(params, pred, capture=False)
     rng = np.random.default_rng(seed)
     samples = measure_samples(run.final_state, layout_for(params), rng)
     return majority_postprocess(samples, pred, tie_break=tie_break, rng=rng)

@@ -26,8 +26,8 @@ exception: it holds one register mean per setting of the other qubits.
 Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits larger
 calls across threads, and on a 2-CPU machine waking the second thread
 costs more than it saves (a tail of milliseconds per call).  Marginals
-contract a float view of the state.  `zero_state` refuses a state that
-physical memory cannot hold.
+contract a float view of the state.  `check_capacity` refuses, before
+any allocation, what the qubit cap or physical memory cannot hold.
 """
 
 from __future__ import annotations
@@ -156,27 +156,31 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_memory(n_qubits: int, copies: int = 1) -> None:
-    """Refuse `copies` states of n_qubits that physical memory cannot hold."""
+def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: str = "") -> None:
+    """Refuse n_qubits above the qubit cap, or `copies` states of them
+    past physical memory (copies = 0 checks the cap alone).  The message
+    names `what` and how its qubits add up (`terms`, e.g. "5*4+32+1")."""
+    cap = qubit_cap()
     need = (copies << n_qubits) * np.dtype(np.complex128).itemsize
     have = physical_memory_bytes()
-    if have is not None and need > have:
-        raise CapacityError(
-            f"{n_qubits} qubits need {need / 2**30:.1f} GiB for {copies} "
-            f"state{'s' if copies > 1 else ''}, more than the "
-            f"{have / 2**30:.1f} GiB of physical memory"
+    if n_qubits > cap:
+        limit = f"above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})"
+    elif have is not None and need > have:
+        limit = (
+            f"{need / 2**30:.1f} GiB for {copies} state{'s' if copies > 1 else ''}, "
+            f"more than the {have / 2**30:.1f} GiB of physical memory"
         )
+    else:
+        return
+    raise CapacityError(f"{what} needs {terms + ' = ' if terms else ''}{n_qubits} qubits, {limit}")
 
 
-def zero_state(n_qubits: int, cap: int | None = None) -> StateVector:
+def zero_state(n_qubits: int) -> StateVector:
     """The all-zero basis state, refusing to allocate above the qubit cap
     or past physical memory."""
-    cap = qubit_cap() if cap is None else cap
     if n_qubits < 1:
         raise DomainError(f"qubit count must be >= 1, got {n_qubits}")
-    if n_qubits > cap:
-        raise CapacityError(f"{n_qubits} qubits requested, above the cap of {cap}")
-    check_memory(n_qubits)
+    check_capacity(n_qubits)
     amps = np.zeros(1 << n_qubits, dtype=np.complex128)
     amps[0] = 1.0
     return StateVector(n_qubits, amps)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 from click.testing import CliRunner
@@ -36,6 +37,21 @@ class TestSimulate:
         result = runner.invoke(main, ["simulate", "--n", "32", "--eta", "4"])
         assert result.exit_code == 3
         assert "53" in result.stderr
+
+    def test_capture_peaks_near_the_seven_states_it_checks(self, runner):
+        # The capacity check admits a capture by its seven states, so the
+        # command must not need an eighth: at 17 qubits (N=4, eta=6) it
+        # peaks at about 7.1 states.  A first small run loads what numpy
+        # imports lazily, which no state size accounts for.
+        invoke_json(runner, ["simulate", "--n", "2", "--eta", "1", "--seed", "0", "--capture"])
+        tracemalloc.start()
+        try:
+            invoke_json(runner, ["simulate", "--n", "4", "--marks", "1", "--eta", "6",
+                                 "--seed", "0", "--capture"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 7.5 * (16 << 17)
 
     def test_nothing_marked(self, runner):
         doc = invoke_json(runner, ["simulate", "--n", "2", "--marks", "", "--eta", "5", "--seed", "9"])

@@ -11,7 +11,18 @@ from helpers import matching_indices
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from paritysearch import CapacityError, DomainError, RegisterLayout, StateVector
+from paritysearch import (
+    BooleanPredicate,
+    CapacityError,
+    DomainError,
+    RegisterLayout,
+    SearchParameters,
+    StateVector,
+    amplitudes,
+    analytic_product_state,
+    build_circuit,
+    run_circuit,
+)
 from paritysearch import statevector as sv
 from paritysearch.statevector import (
     FIDELITY_ATOL,
@@ -78,11 +89,12 @@ class TestZeroState:
         layout = RegisterLayout(item_bits=2, n_samples=1, n_items=4)
         assert zero_state(layout.total_qubits).amplitudes.shape == (128,)
 
-    def test_capacity(self):
+    def test_capacity(self, monkeypatch):
         with pytest.raises(CapacityError):
             zero_state(25)
+        monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", "12")
         with pytest.raises(CapacityError):
-            zero_state(13, cap=12)
+            zero_state(13)
 
     def test_memory_is_checked_before_allocation(self, monkeypatch):
         monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 1 << 20)
@@ -95,6 +107,39 @@ class TestZeroState:
         finally:
             tracemalloc.stop()
         assert peak < 64 * 1024
+
+
+# Every point that sizes an allocation by qubits, on one instance of
+# 2*3+4+1 = 11 qubits (N=4, eta=3), whose product state has 2*3 = 6:
+# (qubits, states kept, call).  A gate list keeps no state.
+_INSTANCE = (SearchParameters(4, 3), BooleanPredicate.from_marks(4, [2]))
+_REFUSAL_POINTS = {
+    "zero_state": (11, 1, lambda: zero_state(11)),
+    "build_circuit": (11, 0, lambda: build_circuit(*_INSTANCE)),
+    "capture": (11, 7, lambda: run_circuit(*_INSTANCE, capture=True)),
+    "product_state": (6, 1, lambda: analytic_product_state(amplitudes(4, 1), _INSTANCE[1], 3)),
+}
+
+
+class TestCapacity:
+    @pytest.mark.parametrize("point", sorted(_REFUSAL_POINTS))
+    def test_refusal_points(self, point, monkeypatch):
+        qubits, kept, call = _REFUSAL_POINTS[point]
+        monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", str(qubits - 1))
+        with pytest.raises(CapacityError, match=f" {qubits} qubits, .*PARITYSEARCH_QUBIT_CAP"):
+            call()
+        monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", str(qubits))
+        # Physical memory one byte short of the states kept, or of one
+        # state where none is kept: only points that keep states refuse.
+        state_bytes = 16 << qubits
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: max(kept, 1) * state_bytes - 1)
+        if kept:
+            with pytest.raises(CapacityError, match=f" {qubits} qubits, .*physical memory"):
+                call()
+        else:
+            call()
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: kept * state_bytes)
+        call()
 
 
 class TestSingleQubitGates:
