@@ -148,8 +148,9 @@ class StateVector:
         return float(np.linalg.norm(self.amplitudes))
 
 
+@lru_cache(maxsize=1)
 def physical_memory_bytes() -> int | None:
-    """Installed physical memory, or None where the platform does not report it."""
+    """Installed physical memory, read once, or None where the platform does not report it."""
     try:
         return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     except (AttributeError, ValueError, OSError):
@@ -161,7 +162,7 @@ def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: s
     past physical memory (copies = 0 checks the cap alone).  The message
     names `what` and how its qubits add up (`terms`, e.g. "5*4+32+1")."""
     cap = qubit_cap()
-    need = (copies << n_qubits) * np.dtype(np.complex128).itemsize
+    need = (copies << n_qubits) * 16  # bytes per complex128 amplitude
     have = physical_memory_bytes()
     if n_qubits > cap:
         limit = f"above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})"
