@@ -18,22 +18,30 @@ They act on basic-indexing views of the amplitudes reshaped to one
 length-2 axis per qubit.  Temporaries are bounded chunks, never a share
 of the state: each holds at most one piece of 2**15 amplitudes, and
 less than the state.  A flip swaps through a buffer of two slabs; the
-blocks work one piece at a time, and the XOR permutation one piece or a
+blocks work one piece at a time through one scratch of 2**13
+amplitudes, and the XOR permutation gathers blocks of one piece or a
 quarter of the state, whichever is smaller.  Blocks on qubits below 15
 all act on one contiguous piece before the next, so one read of the
 state serves all of them.  The literal inversion about average is the
 exception: it holds one register mean per setting of the other qubits.
-Each BLAS call covers at most 4096 amplitudes: OpenBLAS splits larger
-calls across threads, and on a 2-CPU machine waking the second thread
-costs more than it saves (a tail of milliseconds per call).  Marginals
-contract a float view of the state.  `check_capacity` refuses, before
-any allocation, what the qubit cap or physical memory cannot hold.
+One numpy call of the block kernel covers up to 2**13 amplitudes as a
+stack of BLAS calls, and each BLAS call at most 4096: OpenBLAS splits
+larger calls across threads, and on a 2-CPU machine waking the second
+thread costs more than it saves (a tail of milliseconds per call).  The
+block kernel runs on the calling thread alone.  The XOR permutation's
+gathers are long numpy calls that release the GIL, so from 17 qubits up
+it splits its block budget between two workers, the caller and one
+thread made on first use, where the process may run on two CPUs; each
+worker's buffers hold half a block.  Marginals contract a float view of
+the state.  `check_capacity` refuses, before any allocation, what the
+qubit cap or physical memory cannot hold.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Sequence
@@ -54,6 +62,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 # Amplitudes per BLAS call; larger calls wake OpenBLAS's second thread.
 _BLAS_AMPLITUDES = 1 << 12
+# Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
+_BATCH_AMPLITUDES = 1 << 13
 # Amplitudes per piece for the blocks and the XOR permutation: about a
 # level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
@@ -62,6 +72,14 @@ _PIECE_AMPLITUDES = 1 << 15
 _WIDE_ROW_FLOATS = 32
 # A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
 _SWAP_AXES = 12
+
+
+# CPUs this process may run on: the XOR permutation's most workers.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# The XOR permutation's worker thread and the process that made it; a
+# forked child has no copy of the thread, so it makes its own.
+_xor_pool = None
+_xor_pool_pid = 0
 
 
 def qubit_cap() -> int:
@@ -239,14 +257,17 @@ def _block(kind: str, width: int, copies: int) -> np.ndarray:
     return block
 
 
-def _apply_block(floats: np.ndarray, kind: str, start: int, width: int) -> None:
+def _apply_block(
+    floats: np.ndarray, kind: str, start: int, width: int, scratch: np.ndarray
+) -> None:
     """Multiply the float view of some amplitudes by a `_block` on qubits
-    start .. start+width-1, in place.
+    start .. start+width-1, in place, through `scratch`, which holds at
+    least 2 * _BATCH_AMPLITUDES floats or the whole view.
 
     The block is real, so it acts on the real and imaginary parts alike.
-    The block times pieces of the (-1, 2**width, 2 << start) view makes
-    one small BLAS call per slice of 2 << start floats, which costs most
-    where those slices are short.  There, rows of 2**width * (2 << start)
+    The block times the (-1, 2**width, 2 << start) view makes one small
+    BLAS call per slice of 2 << start floats, which costs most where
+    those slices are short.  There, rows of 2**width * (2 << start)
     floats meet the widened block kron(B, I_(2 << start)) on the right
     instead, which does 2 << start times the arithmetic.  On one
     2**15-amplitude piece (2-CPU x86-64, NumPy 2.4) the widened block
@@ -255,28 +276,36 @@ def _apply_block(floats: np.ndarray, kind: str, start: int, width: int) -> None:
     width-3 one 130 against 252 us at start 1.  At 64 floats it loses:
     217 against 157 us for width 3 at start 2, 194 against 84 us for
     width 1 at start 4.  At start 0 the slices hold 2 floats, so it
-    always widens.
+    always widens.  Either way one numpy call multiplies a stack of at
+    most _BATCH_AMPLITUDES, each BLAS call in it at most
+    _BLAS_AMPLITUDES.
     """
+    batch = 2 * _BATCH_AMPLITUDES
     if start == 0 or (2 << start) << width <= _WIDE_ROW_FLOATS:
         matrix = _block(kind, width, 2 << start)
-        rows = floats.reshape(-1, len(matrix))
-        step = min(2 * _BLAS_AMPLITUDES // len(matrix), len(rows))
-        out = np.empty((step, len(matrix)))
-        for r in range(0, len(rows), step):
-            np.matmul(rows[r : r + step], matrix, out=out)
-            rows[r : r + step] = out
+        call = min(2 * _BLAS_AMPLITUDES, floats.size)
+        stack = floats.reshape(-1, call // len(matrix), len(matrix))
+        step = min(batch // call, len(stack))
+        out = scratch[: step * call].reshape(step, *stack.shape[1:])
+        for r in range(0, len(stack), step):
+            np.matmul(stack[r : r + step], matrix, out=out)
+            stack[r : r + step] = out
         return
     matrix = _block(kind, width, 1)
-    size = len(matrix)
-    v = floats.reshape(-1, size, 2 << start)
-    cols = min(v.shape[2], 2 * _BLAS_AMPLITUDES // size)
-    step = min(2 * _BLAS_AMPLITUDES // (size * cols), len(v))
-    out = np.empty((step, size, cols))
-    for r in range(0, len(v), step):
-        for c in range(0, v.shape[2], cols):
-            piece = v[r : r + step, :, c : c + cols]
-            np.matmul(matrix, piece, out=out)
-            piece[...] = out
+    size, row = len(matrix), 2 << start
+    cols = min(row, 2 * _BLAS_AMPLITUDES // size)
+    # Slabs (size, cols) of the (-1, size, row) view, stacked by row group
+    # and column block; a call takes whole row groups or part of one.
+    slabs = floats.reshape(-1, size, row // cols, cols).transpose(0, 2, 1, 3)
+    calls = batch // (size * cols)
+    across = min(slabs.shape[1], calls)
+    down = min(max(calls // slabs.shape[1], 1), len(slabs))
+    out = scratch[: down * across * size * cols].reshape(down, across, size, cols)
+    for r in range(0, len(slabs), down):
+        for c in range(0, slabs.shape[1], across):
+            chunk = slabs[r : r + down, c : c + across]
+            np.matmul(matrix, chunk, out=out)
+            chunk[...] = out
 
 
 def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
@@ -285,9 +314,10 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     Blocks that lie wholly below the piece boundary all act on one
     contiguous piece of _PIECE_AMPLITUDES before the next piece is read,
     so the state streams through memory once for all of them; the others
-    act on the whole state, one at a time.
+    act on the whole state, one at a time.  All share one scratch.
     """
     floats = state.amplitudes.view(np.float64)
+    scratch = np.empty(min(2 * _BATCH_AMPLITUDES, floats.size))
     piece_qubits = _PIECE_AMPLITUDES.bit_length() - 1
     low = [run for run in runs if run[1] + run[2] <= piece_qubits]
     high = [run for run in runs if run[1] + run[2] > piece_qubits]
@@ -296,9 +326,9 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
         for p in range(0, floats.size, step):
             piece = floats[p : p + step]
             for run in low:
-                _apply_block(piece, *run)
+                _apply_block(piece, *run, scratch)
     for run in high:
-        _apply_block(floats, *run)
+        _apply_block(floats, *run, scratch)
 
 
 def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
@@ -331,6 +361,43 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     return state
 
 
+def _xor_columns(
+    amplitudes: np.ndarray, rows: np.ndarray, masks: np.ndarray, cols: int, starts: deque
+) -> None:
+    """Gather blocks of `cols` columns of `apply_xor_permutation`'s grid
+    through buffers of one block, taking each block's first column from
+    `starts` until none is left, and write them back.  It calls numpy
+    alone, so it may run on a worker thread."""
+    high, low = len(rows), len(masks).bit_length() - 1
+    grid = amplitudes.reshape(high, len(masks))
+    index = np.empty((high, cols), dtype=np.intp)
+    out = np.empty((high, cols), dtype=np.complex128)
+    while True:
+        try:
+            c = starts.popleft()  # atomic, so each block goes to one worker
+        except IndexError:
+            return
+        keys = np.left_shift(masks[c : c + cols], low, dtype=np.intp)
+        keys |= np.arange(c, c + cols)
+        np.bitwise_xor(rows, keys, out=index)
+        # Every index is in range; mode "raise" would buffer `out` again.
+        np.take(amplitudes, index, out=out, mode="wrap")
+        grid[:, c : c + cols] = out
+
+
+def _worker_pool():
+    """The XOR permutation's worker thread, made on first use in each process."""
+    global _xor_pool, _xor_pool_pid
+    if _xor_pool_pid != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+
+        # The caller takes one share, and with shares of half a piece of
+        # a block of at most a piece there are at most two.
+        _xor_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="paritysearch-xor")
+        _xor_pool_pid = os.getpid()
+    return _xor_pool
+
+
 def apply_xor_permutation(
     state: StateVector, low_qubits: int, masks: np.ndarray
 ) -> StateVector:
@@ -345,6 +412,13 @@ def apply_xor_permutation(
     the index's XOR in 64 KiB, so together they stay below the state: a
     block of the whole state would hold 1.5 times the state, memory that
     the allocator hands back to the system between calls.
+
+    Up to _CPUS workers split the block: each holds buffers of its share
+    while the share keeps at least half a piece and one column, and one
+    worker takes all otherwise.  Each worker takes the next block of
+    columns until none is left, so a worker on a busy CPU takes fewer.  A
+    block reads and writes only its own columns, so the workers need no
+    lock and the result does not depend on which worker takes a block.
     """
     if not 0 <= low_qubits <= state.n_qubits:
         raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
@@ -354,21 +428,21 @@ def apply_xor_permutation(
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
     if masks.min() < 0 or masks.max() >= high:
         raise DomainError(f"masks must lie in 0..{high - 1}")
-    grid = state.amplitudes.reshape(high, width)
     block = min(_PIECE_AMPLITUDES, state.amplitudes.size // 4)
-    cols = min(width, max(block // high, 1))
+    workers = max(1, min(_CPUS, 2 * block // _PIECE_AMPLITUDES, block // high))
+    cols = min(width, max(block // (workers * high), 1))
     # The flat index of |h XOR masks[c], c> is (h << low) XOR (masks[c] << low | c).
-    # A block reads only its own columns, so it can be written back at once.
     rows = np.arange(high, dtype=np.intp)[:, None] << low_qubits
-    index = np.empty((high, cols), dtype=np.intp)
-    out = np.empty((high, cols), dtype=np.complex128)
-    for c in range(0, width, cols):
-        keys = np.left_shift(masks[c : c + cols], low_qubits, dtype=np.intp)
-        keys |= np.arange(c, c + cols)
-        np.bitwise_xor(rows, keys, out=index)
-        # Every index is in range; mode "raise" would buffer `out` again.
-        np.take(state.amplitudes, index, out=out, mode="wrap")
-        grid[:, c : c + cols] = out
+    starts = deque(range(0, width, cols))
+    futures = [
+        _worker_pool().submit(_xor_columns, state.amplitudes, rows, masks, cols, starts)
+        for _ in range(1, workers)
+    ]
+    try:
+        _xor_columns(state.amplitudes, rows, masks, cols, starts)
+    finally:
+        for future in futures:
+            future.result()
     return state
 
 

@@ -1,6 +1,10 @@
 """Simulator primitives checked against dense-matrix ground truth."""
 
 import math
+import os
+import signal
+import sys
+import time
 import tracemalloc
 from functools import reduce
 from unittest import mock
@@ -318,8 +322,21 @@ class TestFusedPrimitives:
                 apply_hadamard(expected, q)
         else:
             apply_inversion_about_average(expected, register)
-        sv._apply_block(state.amplitudes.view(np.float64), kind, start, width)
+        scratch = np.empty(2 * sv._BATCH_AMPLITUDES)
+        sv._apply_block(state.amplitudes.view(np.float64), kind, start, width, scratch)
         assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+
+    # With BLAS calls of 32 amplitudes and numpy calls of 64, a 9-qubit
+    # state reaches what only large states reach at the real sizes: rows
+    # cut into column slabs, and numpy calls within one row group.
+    @pytest.mark.parametrize(
+        "qubits", [(0, 1, 2), (3, 4, 5), (6, 7, 8), (8,), (1, 2, 3, 4), tuple(range(9))]
+    )
+    def test_blocks_in_small_calls(self, qubits):
+        with mock.patch.object(sv, "_BLAS_AMPLITUDES", 32), \
+                mock.patch.object(sv, "_BATCH_AMPLITUDES", 64):
+            self.check_hadamards(9, qubits, seed=len(qubits))
+            self.check_register_inversions(9, 2, 4, seed=len(qubits))
 
     @staticmethod
     def check_register_inversions(n, width, count, seed):
@@ -400,23 +417,149 @@ class TestFusedPrimitives:
             apply_xor_permutation(state, 5, np.zeros(32, dtype=int))
 
 
+def xor_workers(monkeypatch) -> list:
+    """Record the block width, in columns, of each worker that
+    `apply_xor_permutation` starts."""
+    widths = []
+    gather = sv._xor_columns
+
+    def recorded(amplitudes, rows, masks, cols, starts):
+        widths.append(cols)
+        gather(amplitudes, rows, masks, cols, starts)
+
+    monkeypatch.setattr(sv, "_xor_columns", recorded)
+    return widths
+
+
+class TestXorWorkers:
+    """Splitting the XOR permutation between workers changes no byte.
+
+    `_CPUS` is forced to 1 and 2, whatever this machine has."""
+
+    # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
+    LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
+
+    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
+    def test_split_is_exact(self, n_items, eta, monkeypatch):
+        layout = RegisterLayout(n_items.bit_length() - 1, eta, n_items)
+        low = layout.item_bits * eta
+        rng = np.random.default_rng(eta)
+        masks = rng.integers(0, 1 << (layout.total_qubits - low), size=1 << low)
+        widths = xor_workers(monkeypatch)
+        results, shares = {}, {}
+        for workers in (1, 2):
+            monkeypatch.setattr(sv, "_CPUS", workers)
+            widths.clear()
+            state = random_state(layout.total_qubits, seed=eta)
+            apply_xor_permutation(state, low, masks)
+            results[workers], shares[workers] = state.amplitudes, list(widths)
+        # Two workers divide one worker's block between them.
+        assert shares[2] == [shares[1][0] // 2] * 2
+        assert np.array_equal(results[1], results[2])
+
+    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
+    def test_split_search_is_exact(self, n_items, eta, monkeypatch):
+        params = SearchParameters(n_items, eta)
+        pred = BooleanPredicate(n_items, frozenset({1}))
+        finals = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(sv, "_CPUS", workers)
+            finals[workers] = run_circuit(params, pred).final_state.amplitudes
+        assert np.array_equal(finals[1], finals[2])
+
+    # With pieces of 8 amplitudes, states from 5 qubits up split.
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_split_in_small_pieces(self, seed, data):
+        n = data.draw(st.integers(1, 9))
+        low = data.draw(st.integers(0, n))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 3), \
+                mock.patch.object(sv, "_CPUS", 2):
+            TestFusedPrimitives.check_xor_permutation(n, low, np.int64, seed)
+
+    def test_split_under_fast_thread_switches(self, monkeypatch):
+        # The workers share one queue of blocks.  With pieces of 8
+        # amplitudes a 12-qubit state has 1024 one-column blocks; a block
+        # taken twice is permuted back, and a block taken by no worker
+        # stays, so either breaks equality with the one-worker result.
+        monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
+        n, low = 12, 10
+        masks = np.random.default_rng(5).integers(0, 1 << (n - low), size=1 << low)
+        monkeypatch.setattr(sv, "_CPUS", 1)
+        expected = apply_xor_permutation(random_state(n, seed=5), low, masks)
+        monkeypatch.setattr(sv, "_CPUS", 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                state = apply_xor_permutation(random_state(n, seed=5), low, masks)
+                assert np.array_equal(state.amplitudes, expected.amplitudes)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("n_qubits, low", [(18, 3), (16, 8), (15, 6)])
+    def test_one_worker_where_the_block_cannot_be_divided(self, n_qubits, low, monkeypatch):
+        # A block of one column, or one below a piece, holds no two shares.
+        monkeypatch.setattr(sv, "_CPUS", 2)
+        widths = xor_workers(monkeypatch)
+        masks = np.arange(1 << low) % (1 << (n_qubits - low))
+        apply_xor_permutation(random_state(n_qubits, seed=low), low, masks)
+        assert len(widths) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
+    def test_forked_child_makes_its_own_worker(self, monkeypatch):
+        # The child inherits the parent's pool object but not its thread;
+        # a split in the child must not wait on the missing thread.
+        monkeypatch.setattr(sv, "_CPUS", 2)
+        n, low = 18, 9
+        masks = np.arange(1 << low)[::-1] % (1 << (n - low))
+        apply_xor_permutation(random_state(n, seed=3), low, masks)
+        assert sv._xor_pool_pid == os.getpid()
+        expected = random_state(n, seed=4)
+        with mock.patch.object(sv, "_CPUS", 1):
+            apply_xor_permutation(expected, low, masks)
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                state = random_state(n, seed=4)
+                apply_xor_permutation(state, low, masks)
+                exact = np.array_equal(state.amplitudes, expected.amplitudes)
+                code = 0 if exact and sv._xor_pool_pid == os.getpid() else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                assert os.waitstatus_to_exitcode(status) == 0
+                return
+            time.sleep(0.05)
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's split did not finish within 60 s")
+
+
 class TestMemoryContract:
     """No gate builds a temporary of the state's size.
 
     The state has 18 qubits (4 MiB).  NumPy iterates short strided runs
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
     quarter of a 16-qubit state but not of this one.  Flips hold two
-    buffers of 4096 amplitudes (128 KiB) and the blocks one; the XOR pass
-    holds a block of at most 2**15 amplitudes and a quarter of the state,
-    with its int64 index, and NumPy's 128 KiB of buffers for the index's
-    broadcast XOR: up to about 1 MiB here, and 330 KiB for the 15-qubit
-    state of N=8, eta=2 (512 KiB), where a block of the whole state held
-    900 KiB.
+    buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
+    8192 (128 KiB); the XOR pass holds a block of at most 2**15
+    amplitudes and a quarter of the state, with its int64 index, and
+    NumPy's 128 KiB of buffers for the index's broadcast XOR: up to about
+    1 MiB here, and 330 KiB for the 15-qubit state of N=8, eta=2
+    (512 KiB), where a block of the whole state held 900 KiB.  Two XOR
+    workers each hold half a block and their own broadcast buffers.
     Fixed bounds leave room for the Python objects made per call.
     """
 
     BUFFER_BOUND = 256 * 1024
     XOR_BOUND = 1536 * 1024
+    XOR_REPEATS = 8
 
     N_QUBITS = 18
 
@@ -467,19 +610,31 @@ class TestMemoryContract:
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
+    # Each XOR case runs with one worker and with two, several times, so
+    # that two workers' buffers overlap in time in some run.  At low=3 a
+    # block is one column, which two workers cannot share.  The worker
+    # thread is made untraced first: the first split in a process imports
+    # concurrent.futures (about 600 KiB of Python objects), once.
     @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_xor_permutation(self, state, low):
+    def test_xor_permutation(self, state, low, monkeypatch):
+        sv._worker_pool()
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
-        peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
-        assert peak <= self.XOR_BOUND
+        for workers in (1, 2):
+            monkeypatch.setattr(sv, "_CPUS", workers)
+            for _ in range(self.XOR_REPEATS):
+                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
+                assert peak <= self.XOR_BOUND
 
-    def test_xor_permutation_below_a_small_state(self):
+    def test_xor_permutation_below_a_small_state(self, monkeypatch):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
         n, low = 15, 6
         state = random_state(n, seed=2)
         masks = np.arange(1 << low) % (1 << (n - low))
-        peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
-        assert peak < state.amplitudes.nbytes
+        for workers in (1, 2):
+            monkeypatch.setattr(sv, "_CPUS", workers)
+            for _ in range(self.XOR_REPEATS):
+                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
+                assert peak < state.amplitudes.nbytes
 
 
 class TestInversionAboutAverage:
