@@ -372,12 +372,9 @@ class MonteCarloEstimate:
 _CHUNK_ENTRIES = 1 << 15
 # Below this many samples per item each sample is drawn on its own, O(eta)
 # per trial; from it on one multinomial call draws the counts, O(N) per
-# trial.  Measured per trial (sampling against multinomial), 2-CPU x86-64,
-# NumPy 2.4: at N=16, 1.4 against 1.1 us at eta=2N and 1.6 against 1.2 us
-# at eta=4N; at N=1024, 27 against 73 us at eta=1280, 84 against 102 us at
-# eta=4N, 162 against 140 us at eta=8N, 222 against 171 us at eta=12800 and
-# 2342 against 132 us at eta=102400.
+# trial.  4 lies between the measured crossovers, 2N at N=16 and 8N at N=1024.
 _SAMPLING_SAMPLES_PER_ITEM = 4
+_BYTES_PER_ENTRY = 32  # peak bytes per entry of a chunk's largest row, per-item arrays included
 
 
 def _count_draw(model: AmplitudeModel, is_marked: np.ndarray, n_samples: int):
@@ -450,8 +447,19 @@ def monte_carlo_success_probability(
         raise DomainError(f"trial count must be >= 1, got {trials}")
     if tie_break not in ("lowest_index", "random"):
         raise DomainError(f"unknown tie-break policy {tie_break!r}")
-    is_marked = np.array([pred.value(j) for j in range(1, model.n_items + 1)], dtype=bool)
-    draw, width = _count_draw(model, is_marked, n_samples)
+    if n_samples > np.iinfo(np.int64).max:
+        raise DomainError(f"sample count {n_samples} exceeds 2**63 - 1")
+    # `_count_draw`'s width, before any N-sized array exists.
+    width = max(n_samples, model.n_items)
+    if n_samples >= _SAMPLING_SAMPLES_PER_ITEM * model.n_items:
+        width = model.n_items
+    have = sv.physical_memory_bytes()
+    if have is not None and _BYTES_PER_ENTRY * width > have:
+        raise CapacityError(f"Monte Carlo rows of {width} entries need {_BYTES_PER_ENTRY * width / 2**30:.1f}"
+                            f" GiB, more than the {have / 2**30:.1f} GiB of physical memory")
+    is_marked = np.zeros(model.n_items, dtype=bool)
+    is_marked[[j - 1 for j in pred.marks]] = True
+    draw, _ = _count_draw(model, is_marked, n_samples)
     chunk = max(1, _CHUNK_ENTRIES // width)
     root = np.random.SeedSequence(seed)
     successes = 0
@@ -470,7 +478,7 @@ def monte_carlo_success_probability(
 def scheduled_sample_count(n_items: int, constant_c: float) -> int:
     """Sample-count schedule ceil(c * N * log2(N)^2)."""
     _check_power_of_two(n_items)
-    if constant_c <= 0:
-        raise DomainError(f"schedule constant must be > 0, got {constant_c}")
+    if not 0 < constant_c < math.inf:  # NaN fails both
+        raise DomainError(f"schedule constant must be finite and > 0, got {constant_c}")
     log = math.log2(n_items)
     return math.ceil(constant_c * n_items * log * log)

@@ -183,20 +183,19 @@ def _occurrence_masks(layout: RegisterLayout) -> np.ndarray:
 def _apply_step(
     state: StateVector, layout: RegisterLayout, pred: BooleanPredicate, step: str
 ) -> None:
-    """Apply one step, derived from the layout and the predicate, as the
-    fused pass where the step has one."""
+    """Apply one step, or steps 3-5 as one pass, derived from the layout
+    and the predicate, as the fused pass where the step has one."""
     ancilla = layout.ancilla_qubit
     if step == "step2a":
         sv.apply_hadamards(state, [*layout.all_sample_qubits(), ancilla])
     elif step == "step2b":
         sv.apply_sigma_z(state, ancilla)
-    elif step in ("step3", "step5"):
+    elif step == "step3-5":
+        # Incidence qubit j is bit j-1 of the high qubits and the ancilla
+        # their top bit, so the mask's bits pick step 4's controls.
         sv.apply_xor_permutation(
-            state, layout.item_bits * layout.n_samples, _occurrence_masks(layout)
+            state, layout.item_bits * layout.n_samples, _occurrence_masks(layout), pred.to_mask()
         )
-    elif step == "step4":
-        for j in sorted(pred.marks):
-            sv.apply_value_controlled_flip(state, (layout.incidence_qubit(j),), 1, ancilla)
     else:
         sv.apply_register_inversions(state, layout.item_bits, layout.n_samples)
 
@@ -211,19 +210,20 @@ def run_circuit(
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
     cannot hold.  Without it, no gate list is built: each step is derived
-    from the layout and the predicate.  Steps 2a and 6 each go through the
-    block kernel of `statevector`: step 2a as Hadamard blocks, step 6 as
-    one reflection block I - 2J/N per sample register, the low blocks one
-    cache-sized piece of the state at a time.  Steps 3 and 5 are each one
-    XOR permutation of the incidence register keyed by the sample
-    registers.  Steps 2b and 4 apply their gates one by one.  Each step
-    equals its records up to rounding.  Both runs check the predicate
-    size and the capacity for the states they keep before they allocate.
+    from the layout and the predicate.  Steps 2a and 6 go through the
+    block kernel of `statevector`, as Hadamard blocks and as one
+    reflection block I - 2J/N per sample register.  Steps 3-5, the query,
+    are one pass: each cache-sized block of the state takes step 3's net
+    incidence flips (an XOR keyed by the sample registers), step 4's as
+    one parity-keyed swap of the ancilla, and step 5's in turn.  Each step
+    equals its records up to rounding, steps 3-5 byte for byte.  Both runs
+    check the predicate size and the capacity for the states they keep
+    before they allocate.
     """
     layout = _checked_layout(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(layout.total_qubits)
     if not capture:
-        for step in STEP_ORDER:
+        for step in ("step2a", "step2b", "step3-5", "step6"):
             _apply_step(state, layout, pred, step)
         return CircuitRun(final_state=state)
 

@@ -113,7 +113,9 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merge_config(ctx: click.Context, values: dict) -> dict:
-    """Fill parameters from the config file; explicit flags win."""
+    """Fill parameters from the config file; explicit flags win.  A value
+    goes through its option's type as its JSON text, so the file admits
+    what the command line does: {"eta": 2.5} fails as --eta 2.5 does."""
     raw = _load_config(values.get("config"))
     # Accept flag spellings: "schedule-c" and "schedule_c", "format" for
     # the output format, and so on.
@@ -122,54 +124,45 @@ def _merge_config(ctx: click.Context, values: dict) -> dict:
         name = str(key).replace("-", "_")
         config["output_format" if name == "format" else name] = value
     merged = dict(values)
-    for name in values:
-        if name == "config" or name not in config:
+    for option in ctx.command.params:
+        value = config.get(option.name)
+        if option.name == "config" or value is None or (
+            ctx.get_parameter_source(option.name) == click.core.ParameterSource.COMMANDLINE
+        ):
             continue
-        if ctx.get_parameter_source(name) != click.core.ParameterSource.COMMANDLINE:
-            merged[name] = config[name]
+        text = value if isinstance(value, str) else json.dumps(value)
+        try:
+            merged[option.name] = option.type.convert(text, option, ctx)
+        except click.BadParameter as exc:
+            raise DomainError(f"config value for {option.opts[0]}: {exc.message}") from exc
     return merged
 
 
-def _require_n(values: dict) -> int:
-    if values.get("n") is None:
+def _resolve_instance(values: dict) -> tuple[int, int, float | None, BooleanPredicate]:
+    """N, the sample count, the schedule constant (None under --eta) and
+    the predicate, as every document resolves them."""
+    n, eta, schedule_c = values.get("n"), values["eta"], values["schedule_c"]
+    if n is None:
         raise DomainError("--n is required (on the command line or in the config file)")
-    return int(values["n"])
-
-
-def _resolve_sample_count(n: int, eta: int | None, schedule_c: float | None) -> tuple[int, float | None]:
     if eta is not None and schedule_c is not None:
         raise DomainError("give either --eta or --schedule-c, not both")
-    if eta is not None:
-        return int(eta), None
-    constant = 1.0 if schedule_c is None else float(schedule_c)
-    return an.scheduled_sample_count(n, constant), constant
-
-
-def _resolve_predicate(
-    n: int, marks: str | None, mask: str | None, t: int | None = None
-) -> BooleanPredicate:
-    given = sum(x is not None for x in (marks, mask, t))
-    if given > 1:
+    constant = None
+    if eta is None:
+        constant = 1.0 if schedule_c is None else schedule_c
+        eta = an.scheduled_sample_count(n, constant)
+    marks, mask, t = values["marks"], values["mask"], values.get("t")
+    if sum(x is not None for x in (marks, mask, t)) > 1:
         raise DomainError("give at most one of --marks, --mask, --t")
-    if t is not None:
-        if t < 0 or t > n:
-            raise DomainError(f"marked count {t} outside 0..{n}")
-        return BooleanPredicate.from_marks(n, range(1, t + 1))
-    return BooleanPredicate.from_text(n, marks, mask)
-
-
-def _tie_break_policy(name: str) -> str:
-    if name not in _TIE_BREAKS:
-        raise DomainError(f"tie-break must be one of {sorted(_TIE_BREAKS)}, got {name!r}")
-    return _TIE_BREAKS[name]
+    if t is None:
+        return n, eta, constant, BooleanPredicate.from_text(n, marks, mask)
+    if t < 0 or t > n:
+        raise DomainError(f"marked count {t} outside 0..{n}")
+    return n, eta, constant, BooleanPredicate.from_marks(n, range(1, t + 1))
 
 
 def _resolve_seed(values: dict) -> int | None:
     seed = values.get("seed")
-    if seed is None:
-        return None
-    seed = int(seed)
-    if seed < 0:
+    if seed is not None and seed < 0:
         raise DomainError(f"seed must be >= 0, got {seed}")
     return seed
 
@@ -224,10 +217,8 @@ def main():
 
 
 def _simulate_document(values: dict) -> dict:
-    n = _require_n(values)
-    eta, constant = _resolve_sample_count(n, values["eta"], values["schedule_c"])
-    pred = _resolve_predicate(n, values["marks"], values["mask"])
-    tie_break = _tie_break_policy(values["tie_break"])
+    n, eta, constant, pred = _resolve_instance(values)
+    tie_break = _TIE_BREAKS[values["tie_break"]]
     seed = _resolve_seed(values)
     params = SearchParameters(n, eta)
     layout = ci.layout_for(params)
@@ -295,10 +286,8 @@ def simulate(ctx, **values):
 
 
 def _analytic_document(values: dict) -> dict:
-    n = _require_n(values)
-    eta, constant = _resolve_sample_count(n, values["eta"], values["schedule_c"])
-    pred = _resolve_predicate(n, values["marks"], values["mask"], values["t"])
-    tie_break = _tie_break_policy(values["tie_break"])
+    n, eta, constant, pred = _resolve_instance(values)
+    tie_break = _TIE_BREAKS[values["tie_break"]]
     trials = values["trials"]
     seed = _resolve_seed(values)
     model = an.amplitudes(n, pred.marked_count)
@@ -322,14 +311,14 @@ def _analytic_document(values: dict) -> dict:
             raise CapacityError(f"{exc} (pass --trials)") from exc
     if trials is not None:
         estimate = an.monte_carlo_success_probability(
-            model, pred, eta, trials=int(trials), seed=seed, tie_break=tie_break
+            model, pred, eta, trials=trials, seed=seed, tie_break=tie_break
         )
         result["success_probability_estimate"] = estimate.estimate
         result["success_probability_std_error"] = estimate.std_error
         if estimate.estimate == 1.0:
             # No trial failed: the exact one-sided 95% Clopper-Pearson bound,
             # 1 - 0.05**(1/trials), about 3/trials.
-            result["failure_probability_upper_95"] = -math.expm1(math.log(0.05) / int(trials))
+            result["failure_probability_upper_95"] = -math.expm1(math.log(0.05) / trials)
 
     t = pred.marked_count
     residual = abs(t * model.p_marked + (n - t) * model.p_unmarked - 1.0)
@@ -366,9 +355,7 @@ def analytic_cmd(ctx, **values):
 
 
 def _gates_document(values: dict) -> dict:
-    n = _require_n(values)
-    eta, constant = _resolve_sample_count(n, values["eta"], values["schedule_c"])
-    pred = _resolve_predicate(n, values["marks"], values["mask"], values["t"])
+    n, eta, constant, pred = _resolve_instance(values)
     model = cx.cost_model_by_name(values["cost_model"])
     params = SearchParameters(n, eta)
 

@@ -3,38 +3,24 @@
 Exactly the primitives the search circuit needs: Hadamard, the (1,-1)
 phase gate, value-conditioned multi-controlled flips and phase flips,
 the inversion-about-average operator, marginal measurement, and state
-comparison modulo global phase.  Fused primitives serve the uncaptured
-circuit: one kernel multiplies the state by small real blocks, Hadamards
-on runs of up to three qubits or the inversion about average on whole
-registers, and an XOR permutation moves the high qubits keyed by the
-low ones.
+comparison modulo global phase.  The uncaptured circuit uses fused
+primitives: a kernel of small real blocks (Hadamards on up to three
+qubits, register inversions), and an XOR pass on the high qubits keyed
+by the low ones, which with a parity-keyed flip is the search's query.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
 value or a bit pattern, bit b of the value corresponds to the b-th
 qubit in the list.  Gates mutate the state in place and return it.
 
-They act on basic-indexing views of the amplitudes reshaped to one
-length-2 axis per qubit.  Temporaries are bounded chunks, never a share
-of the state: each holds at most one piece of 2**15 amplitudes, and
-less than the state.  A flip swaps through a buffer of two slabs; the
-blocks work one piece at a time through one scratch of 2**13
-amplitudes, and the XOR permutation gathers blocks of one piece or a
-quarter of the state, whichever is smaller.  Blocks on qubits below 15
-all act on one contiguous piece before the next, so one read of the
-state serves all of them.  The literal inversion about average is the
-exception: it holds one register mean per setting of the other qubits.
-One numpy call of the block kernel covers up to 2**13 amplitudes as a
-stack of BLAS calls, and each BLAS call at most 4096: OpenBLAS splits
-larger calls across threads, and on a 2-CPU machine waking the second
-thread costs more than it saves (a tail of milliseconds per call).  The
-block kernel runs on the calling thread alone.  The XOR permutation's
-gathers are long numpy calls that release the GIL, so from 17 qubits up
-it splits its block budget between two workers, the caller and one
-thread made on first use, where the process may run on two CPUs; each
-worker's buffers hold half a block.  Marginals contract a float view of
-the state.  `check_capacity` refuses, before any allocation, what the
-qubit cap or physical memory cannot hold.
+Temporaries are bounded chunks, never a share of the state: a flip's
+slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
+at most 2**12, on the calling thread, one piece of 2**15 at a time), and
+the XOR pass's blocks of a piece or a quarter of the state, split
+between two workers from 17 qubits up where the process may run on two
+CPUs.  The literal inversion about average alone holds one register mean
+per setting of the other qubits.  `check_capacity` refuses, before any
+allocation, what the qubit cap or physical memory cannot hold.
 """
 
 from __future__ import annotations
@@ -60,7 +46,8 @@ FIDELITY_ATOL = 1e-10
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Amplitudes per BLAS call; larger calls wake OpenBLAS's second thread.
+# Amplitudes per BLAS call; larger calls wake OpenBLAS's second thread,
+# which on two CPUs costs more than it saves.
 _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
 _BATCH_AMPLITUDES = 1 << 13
@@ -180,11 +167,10 @@ def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: s
     past physical memory (copies = 0 checks the cap alone).  The message
     names `what` and how its qubits add up (`terms`, e.g. "5*4+32+1")."""
     cap = qubit_cap()
-    need = (copies << n_qubits) * 16  # bytes per complex128 amplitude
     have = physical_memory_bytes()
     if n_qubits > cap:
         limit = f"above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})"
-    elif have is not None and need > have:
+    elif have is not None and (need := (copies << n_qubits) * 16) > have:  # 16 B per amplitude
         limit = (
             f"{need / 2**30:.1f} GiB for {copies} state{'s' if copies > 1 else ''}, "
             f"more than the {have / 2**30:.1f} GiB of physical memory"
@@ -266,19 +252,13 @@ def _apply_block(
 
     The block is real, so it acts on the real and imaginary parts alike.
     The block times the (-1, 2**width, 2 << start) view makes one small
-    BLAS call per slice of 2 << start floats, which costs most where
-    those slices are short.  There, rows of 2**width * (2 << start)
-    floats meet the widened block kron(B, I_(2 << start)) on the right
-    instead, which does 2 << start times the arithmetic.  On one
-    2**15-amplitude piece (2-CPU x86-64, NumPy 2.4) the widened block
-    wins up to rows of _WIDE_ROW_FLOATS floats: a width-1 inversion takes
-    60 against 341 us at start 1 and 119 against 171 us at start 3, and a
-    width-3 one 130 against 252 us at start 1.  At 64 floats it loses:
-    217 against 157 us for width 3 at start 2, 194 against 84 us for
-    width 1 at start 4.  At start 0 the slices hold 2 floats, so it
-    always widens.  Either way one numpy call multiplies a stack of at
-    most _BATCH_AMPLITUDES, each BLAS call in it at most
-    _BLAS_AMPLITUDES.
+    BLAS call per slice of 2 << start floats.  Where rows of
+    2**width * (2 << start) floats are at most _WIDE_ROW_FLOATS long, and
+    always at start 0, they meet the widened block kron(B, I_(2 << start))
+    on the right instead, at 2 << start times the arithmetic, which is
+    faster there and slower from 64 floats on.  Either way one numpy call
+    multiplies a stack of at most _BATCH_AMPLITUDES, each BLAS call in it
+    at most _BLAS_AMPLITUDES.
     """
     batch = 2 * _BATCH_AMPLITUDES
     if start == 0 or (2 << start) << width <= _WIDE_ROW_FLOATS:
@@ -362,26 +342,46 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
 
 
 def _xor_columns(
-    amplitudes: np.ndarray, rows: np.ndarray, masks: np.ndarray, cols: int, starts: deque
+    amplitudes: np.ndarray, masks: np.ndarray, cols: int, starts: deque,
+    odd_rows: np.ndarray | None,
 ) -> None:
-    """Gather blocks of `cols` columns of `apply_xor_permutation`'s grid
-    through buffers of one block, taking each block's first column from
-    `starts` until none is left, and write them back.  It calls numpy
-    alone, so it may run on a worker thread."""
-    high, low = len(rows), len(masks).bit_length() - 1
+    """Pass blocks of `cols` columns of `apply_xor_permutation`'s grid,
+    taking each block's first column from `starts` until none is left: copy
+    the block, gather it through a block-local index, and with `odd_rows`
+    flip the top row bit on those rows and gather again, then write it
+    back.  It calls numpy alone, so it may run on a worker thread."""
+    high = amplitudes.size // len(masks)
     grid = amplitudes.reshape(high, len(masks))
-    index = np.empty((high, cols), dtype=np.intp)
-    out = np.empty((high, cols), dtype=np.complex128)
+    shift = cols.bit_length() - 1
+    # Within a block, |h XOR masks[c+k], c+k> sits at (h << shift) XOR
+    # (masks[c+k] << shift) XOR k: each block XORs in its keys' change.
+    index = np.arange(high * cols, dtype=np.intp).reshape(high, cols)
+    keys = np.zeros(cols, dtype=np.intp)
+    block = np.empty((high, cols), dtype=np.complex128)
+    out = np.empty_like(block)
     while True:
         try:
             c = starts.popleft()  # atomic, so each block goes to one worker
         except IndexError:
             return
-        keys = np.left_shift(masks[c : c + cols], low, dtype=np.intp)
-        keys |= np.arange(c, c + cols)
-        np.bitwise_xor(rows, keys, out=index)
+        block[...] = grid[:, c : c + cols]
+        new = np.left_shift(masks[c : c + cols], shift, dtype=np.intp)
+        keys ^= new
+        index ^= keys
+        keys = new
         # Every index is in range; mode "raise" would buffer `out` again.
-        np.take(amplitudes, index, out=out, mode="wrap")
+        np.take(block, index, out=out, mode="wrap")
+        if odd_rows is not None:
+            # Swap the halves' odd rows through `block`, free until the
+            # second gather overwrites it.
+            lower, upper = out.reshape(2, -1, cols)
+            spare = block.reshape(2, -1)[:, : len(odd_rows) * cols].reshape(2, -1, cols)
+            np.take(lower, odd_rows, axis=0, out=spare[0], mode="wrap")
+            np.take(upper, odd_rows, axis=0, out=spare[1], mode="wrap")
+            lower[odd_rows] = spare[1]
+            upper[odd_rows] = spare[0]
+            np.take(out, index, out=block, mode="wrap")
+            out, block = block, out
         grid[:, c : c + cols] = out
 
 
@@ -391,34 +391,34 @@ def _worker_pool():
     if _xor_pool_pid != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
 
-        # The caller takes one share, and with shares of half a piece of
-        # a block of at most a piece there are at most two.
+        # The caller takes one share; shares keep half a piece, so two at most.
         _xor_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="paritysearch-xor")
         _xor_pool_pid = os.getpid()
     return _xor_pool
 
 
 def apply_xor_permutation(
-    state: StateVector, low_qubits: int, masks: np.ndarray
+    state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int | None = None
 ) -> StateVector:
-    """Map |h, c> to |h XOR masks[c], c>, in place.
+    """Map |h, c> to |h XOR masks[c], c>, in place.  With `parity_key`,
+    then flip the top qubit where h AND parity_key has odd parity, and
+    map again: steps 3-5 of the search, its one query.
 
     c is the value of the lowest `low_qubits` qubits and h that of the
     rest.  XOR is an involution, so gathering row h XOR masks[c] of each
     column c is the permutation itself.  Columns go in blocks of at most
-    one piece and a quarter of the state (one column at least), gathered
-    into fixed buffers.  The block's index and gathered amplitudes take
-    24 bytes per amplitude, and NumPy buffers each broadcast operand of
-    the index's XOR in 64 KiB, so together they stay below the state: a
-    block of the whole state would hold 1.5 times the state, memory that
-    the allocator hands back to the system between calls.
+    one piece and a quarter of the state (one column at least), each
+    through every step before the next is read, so the state is read and
+    written once.  A block's two buffers and index take 40 bytes per
+    amplitude, and NumPy buffers the index's broadcast XOR in 64 KiB, so
+    together they stay below the state.
 
     Up to _CPUS workers split the block: each holds buffers of its share
     while the share keeps at least half a piece and one column, and one
-    worker takes all otherwise.  Each worker takes the next block of
-    columns until none is left, so a worker on a busy CPU takes fewer.  A
-    block reads and writes only its own columns, so the workers need no
-    lock and the result does not depend on which worker takes a block.
+    worker takes all otherwise.  Workers take the next block of columns
+    until none is left, so one on a busy CPU takes fewer.  A block reads
+    and writes only its own columns, so they need no lock and the result
+    does not depend on which worker takes a block.
     """
     if not 0 <= low_qubits <= state.n_qubits:
         raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
@@ -428,18 +428,23 @@ def apply_xor_permutation(
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
     if masks.min() < 0 or masks.max() >= high:
         raise DomainError(f"masks must lie in 0..{high - 1}")
+    odd_rows = None
+    if parity_key is not None:
+        if not 0 <= parity_key < high // 2:
+            raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
+        # The parity of h AND parity_key for h below high/2, one bit at a time.
+        odd = np.zeros(1, dtype=bool)
+        for b in range(state.n_qubits - low_qubits - 1):
+            odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
+        odd_rows = np.flatnonzero(odd)
     block = min(_PIECE_AMPLITUDES, state.amplitudes.size // 4)
     workers = max(1, min(_CPUS, 2 * block // _PIECE_AMPLITUDES, block // high))
     cols = min(width, max(block // (workers * high), 1))
-    # The flat index of |h XOR masks[c], c> is (h << low) XOR (masks[c] << low | c).
-    rows = np.arange(high, dtype=np.intp)[:, None] << low_qubits
     starts = deque(range(0, width, cols))
-    futures = [
-        _worker_pool().submit(_xor_columns, state.amplitudes, rows, masks, cols, starts)
-        for _ in range(1, workers)
-    ]
+    args = (state.amplitudes, masks, cols, starts, odd_rows)
+    futures = [_worker_pool().submit(_xor_columns, *args) for _ in range(1, workers)]
     try:
-        _xor_columns(state.amplitudes, rows, masks, cols, starts)
+        _xor_columns(*args)
     finally:
         for future in futures:
             future.result()

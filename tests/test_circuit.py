@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from paritysearch import (
     run_search,
 )
 from paritysearch import statevector as sv
-from paritysearch.circuit import _occurrence_masks, _sample_marginal, apply_record
+from paritysearch.circuit import _apply_step, _occurrence_masks, _sample_marginal, apply_record
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
@@ -245,6 +246,80 @@ class TestRunCircuit:
         per_item = marginal_distribution(run.final_state, layout.sample_qubits(2))
         predicted = [model.p_marked if pred.value(j) else model.p_unmarked for j in range(1, 9)]
         assert np.allclose(per_item, predicted, atol=NORM_ATOL)
+
+
+def scattered(n: int) -> frozenset:
+    return frozenset(range(2, n + 1, 3))
+
+
+# (N, eta) with marked sets of t = 0, 1, N/2 and N items, then scattered ones.
+QUERY_CASES = [
+    pytest.param(n, eta, marks, id=f"N{n}-{label}")
+    for n, eta in ((2, 5), (4, 3), (8, 2), (16, 1))
+    for label, marks in (
+        ("t0", frozenset()),
+        ("t1", frozenset({1})),
+        ("half", frozenset(range(1, n // 2 + 1))),
+        ("all", frozenset(range(1, n + 1))),
+        ("scattered", scattered(n)),
+    )
+]
+
+
+class TestQueryPass:
+    """Steps 3-5 applied as one pass change the same bytes as their literal
+    records, from any state, whatever the workers and the block size."""
+
+    @staticmethod
+    def literal_and_fused(n, eta, marks, seed, runs):
+        params = SearchParameters(n, eta)
+        pred = BooleanPredicate(n, marks)
+        layout = layout_for(params)
+        rng = np.random.default_rng(seed)
+        size = 1 << layout.total_qubits
+        literal = StateVector(layout.total_qubits, rng.normal(size=size) + 1j * rng.normal(size=size))
+        start = literal.copy()
+        for record in build_circuit(params, pred):
+            if record.step in ("step3", "step4", "step5"):
+                apply_record(literal, record)
+        for _ in runs:
+            fused = start.copy()
+            _apply_step(fused, layout, pred, "step3-5")
+            assert np.array_equal(fused.amplitudes, literal.amplitudes)
+
+    # Pieces of 8 and 16 amplitudes cut even the smallest state into many
+    # blocks, down to one column each, and pieces of 16 split them.
+    @pytest.mark.parametrize("n, eta, marks", QUERY_CASES)
+    def test_matches_records(self, n, eta, marks, monkeypatch):
+        def runs():
+            for piece in (sv._PIECE_AMPLITUDES, 1 << 3, 1 << 4):
+                for workers in (1, 2):
+                    monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
+                    monkeypatch.setattr(sv, "_CPUS", workers)
+                    yield
+
+        self.literal_and_fused(n, eta, marks, seed=n + eta, runs=runs())
+
+    @settings(deadline=None, max_examples=30)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_matches_records_on_random_instances(self, seed, data):
+        n, max_eta = data.draw(st.sampled_from([(2, 6), (4, 3), (8, 2)]))
+        eta = data.draw(st.integers(1, max_eta))
+        marks = data.draw(st.frozensets(st.integers(1, n)))
+        piece = data.draw(st.sampled_from([1 << 3, 1 << 4, 1 << 6, 1 << 15]))
+        workers = data.draw(st.sampled_from([1, 2]))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
+                mock.patch.object(sv, "_CPUS", workers):
+            self.literal_and_fused(n, eta, marks, seed, runs=[None])
+
+    def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
+        # Step 4 rides inside the pass: no flip runs on its own.
+        calls = []
+        monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
+        xor = sv.apply_xor_permutation
+        monkeypatch.setattr(sv, "apply_xor_permutation", lambda *a: calls.append(a[3]) or xor(*a))
+        run_circuit(SearchParameters(4, 2), BooleanPredicate.from_marks(4, [1, 3]))
+        assert calls == [0b101]
 
 
 class TestMeasurement:

@@ -352,3 +352,65 @@ class TestExitContract:
         assert result.exit_code in (0, 2, 3), (args, result.exception)
         assert result.exception is None or isinstance(result.exception, SystemExit)
         assert "Traceback" not in result.output + result.stderr
+
+    @staticmethod
+    def one_line_exit(result, code):
+        assert result.exit_code == code, result.output + result.stderr
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert len(result.stderr.splitlines()) == 1 and result.stderr.startswith("error: ")
+
+    @pytest.mark.parametrize("constant", ["nan", "inf", "-inf"])
+    def test_schedule_constant_must_be_finite(self, runner, constant):
+        result = runner.invoke(main, ["analytic", "--n", "8", "--t", "1", "--schedule-c", constant])
+        self.one_line_exit(result, 2)
+        assert "finite" in result.stderr
+
+    @pytest.mark.parametrize("config, flag", [
+        ({"n": "abc"}, "--n"),
+        ({"n": 8, "t": 1, "trials": "x"}, "--trials"),
+        ({"n": 8, "t": 1, "eta": 2.5}, "--eta"),
+        ({"n": 8, "t": 1, "eta": 2, "format": "xml"}, "--format"),
+    ], ids=["n-text", "trials-text", "eta-float", "format-choice"])
+    def test_config_values_take_their_option_types(self, runner, tmp_path, config, flag):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        result = runner.invoke(main, ["analytic", "--config", str(path)])
+        self.one_line_exit(result, 2)
+        assert f"config value for {flag}:" in result.stderr
+
+    def test_config_value_reads_as_its_flag_would(self, runner, tmp_path):
+        # {"marks": 1} is --marks 1, as --schedule-c 1 is a float.
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"n": 8, "eta": 2, "marks": 1, "seed": 0}))
+        from_config = invoke_json(runner, ["simulate", "--config", str(path)])
+        assert from_config == invoke_json(
+            runner, ["simulate", "--n", "8", "--eta", "2", "--marks", "1", "--seed", "0"]
+        )
+
+    @pytest.mark.parametrize("count", [["--schedule-c", "1e300"], ["--eta", str(2**63)]])
+    def test_monte_carlo_sample_count_past_int64(self, runner, count):
+        result = runner.invoke(main, ["analytic", "--n", "8", "--t", "1", *count, "--trials", "5"])
+        self.one_line_exit(result, 2)
+        assert "2**63 - 1" in result.stderr
+
+    def test_huge_schedule_refuses_the_state(self, runner):
+        # About 2e302 qubits: the cap refuses them before any size in bytes
+        # is computed from the count.
+        result = runner.invoke(main, ["simulate", "--n", "8", "--marks", "1", "--schedule-c", "1e300"])
+        self.one_line_exit(result, 3)
+        assert "above the cap of 24" in result.stderr
+
+    def test_monte_carlo_past_physical_memory(self, runner):
+        # N = 2**40: each chunk row would hold 2**40 entries.  Refused
+        # before any N-sized array exists, so at once.
+        result = runner.invoke(main, ["analytic", "--n", str(2**40), "--t", "1", "--trials", "2"])
+        self.one_line_exit(result, 3)
+        assert "physical memory" in result.stderr
+
+    def test_monte_carlo_memory_check_uses_the_machine(self, runner, monkeypatch):
+        # 1024 items fit any machine but not one of 16 KiB.
+        from paritysearch import statevector as sv
+        args = ["analytic", "--n", "1024", "--t", "1", "--eta", "64", "--trials", "2"]
+        assert runner.invoke(main, args).exit_code == 0
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 16 << 10)
+        self.one_line_exit(runner.invoke(main, args), 3)

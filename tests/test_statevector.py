@@ -403,6 +403,30 @@ class TestFusedPrimitives:
         apply_xor_permutation(state, low, masks.astype(dtype))
         assert np.array_equal(state.amplitudes, expected)
 
+    # With a parity key the pass maps, flips the top qubit where the high
+    # bits under the key have odd parity, and maps again.
+    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_query_pass_matches_index_oracle(self, piece, seed, data):
+        n = data.draw(st.integers(1, 9))
+        low = data.draw(st.integers(0, n - 1))
+        key = data.draw(st.integers(0, (1 << (n - low - 1)) - 1))
+        workers = data.draw(st.sampled_from([1, 2]))
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 1 << (n - low), size=1 << low)
+        state = random_state(n, seed)
+        index = np.arange(1 << n)
+        c, h = index & ((1 << low) - 1), index >> low
+        xor = ((h ^ masks[c]) << low) | c
+        top = 1 << (n - 1)
+        odd = np.array([bin(x & key).count("1") & 1 for x in h])
+        expected = state.amplitudes[xor][np.where(odd, index ^ top, index)][xor]
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
+                mock.patch.object(sv, "_CPUS", workers):
+            apply_xor_permutation(state, low, masks, key)
+        assert np.array_equal(state.amplitudes, expected)
+
     def test_xor_permutation_rejects_bad_masks(self):
         state = zero_state(4)
         with pytest.raises(DomainError):
@@ -415,6 +439,10 @@ class TestFusedPrimitives:
             apply_xor_permutation(state, 2, np.zeros(4))
         with pytest.raises(DomainError):
             apply_xor_permutation(state, 5, np.zeros(32, dtype=int))
+        # The key picks bits below the top high qubit, which it flips.
+        for low, key in [(2, 2), (2, -1), (4, 0)]:
+            with pytest.raises(DomainError, match="parity key"):
+                apply_xor_permutation(state, low, np.zeros(1 << low, dtype=int), key)
 
 
 def xor_workers(monkeypatch) -> list:
@@ -423,9 +451,9 @@ def xor_workers(monkeypatch) -> list:
     widths = []
     gather = sv._xor_columns
 
-    def recorded(amplitudes, rows, masks, cols, starts):
+    def recorded(amplitudes, masks, cols, starts, odd_rows):
         widths.append(cols)
-        gather(amplitudes, rows, masks, cols, starts)
+        gather(amplitudes, masks, cols, starts, odd_rows)
 
     monkeypatch.setattr(sv, "_xor_columns", recorded)
     return widths
@@ -549,10 +577,10 @@ class TestMemoryContract:
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
     8192 (128 KiB); the XOR pass holds a block of at most 2**15
-    amplitudes and a quarter of the state, with its int64 index, and
-    NumPy's 128 KiB of buffers for the index's broadcast XOR: up to about
-    1 MiB here, and 330 KiB for the 15-qubit state of N=8, eta=2
-    (512 KiB), where a block of the whole state held 900 KiB.  Two XOR
+    amplitudes and a quarter of the state twice, with its int64 index,
+    and NumPy's 64 KiB of buffers for the index's broadcast XOR: up to
+    about 1.4 MiB here, and under 512 KiB for the 15-qubit state of N=8,
+    eta=2, where a block of the whole state would hold 1.25 MiB.  Two XOR
     workers each hold half a block and their own broadcast buffers.
     Fixed bounds leave room for the Python objects made per call.
     """
@@ -624,6 +652,23 @@ class TestMemoryContract:
             for _ in range(self.XOR_REPEATS):
                 peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
                 assert peak <= self.XOR_BOUND
+
+    # The query pass holds a copy of the block beside the gathered one,
+    # 40 bytes per amplitude with the index, and swaps step 4's rows
+    # through the copy; its odd rows add 2 bytes per high row.
+    @pytest.mark.parametrize("low", [15, 9, 3])
+    def test_query_pass(self, state, low, monkeypatch):
+        sv._worker_pool()
+        high = 1 << (self.N_QUBITS - low)
+        masks = np.arange(1 << low) % high
+        for key in (1, 0x5555 & (high // 2 - 1), high // 2 - 1):
+            for workers in (1, 2):
+                monkeypatch.setattr(sv, "_CPUS", workers)
+                for _ in range(self.XOR_REPEATS):
+                    peak = self.traced_peak(
+                        lambda: apply_xor_permutation(state, low, masks, key)
+                    )
+                    assert peak <= self.XOR_BOUND
 
     def test_xor_permutation_below_a_small_state(self, monkeypatch):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
