@@ -136,6 +136,11 @@ def analytic_product_state(
 # scaled to peak 1 with the log of the scale held beside the row, and z is
 # tilted per row (z -> e^u z) so that the coefficient read sits near the
 # row's peak, where the FFT's error, relative to the peak, is smallest.
+#
+# Under lowest-index ties the designated items' products differ only in
+# which factors are "< m", so their sum is one running sum taken right to
+# left and read once: a fixed number of batches (eta x eta) per call, plus
+# the squares caches, whatever the designated count.
 
 # A batch of polynomials, one row per m: (coefficients scaled to peak 1,
 # the log of each row's scale).
@@ -157,6 +162,14 @@ def _multiply(a: _Rows | None, b: _Rows | None) -> _Rows | None:
     np.maximum(product, 0.0, out=product)
     peak = product.max(axis=-1)
     return product / peak[..., None], a[1] + b[1] + np.log(peak)
+
+
+def _add(a: _Rows, b: _Rows) -> _Rows:
+    """Row-wise sum of two batches."""
+    scale = np.maximum(a[1], b[1])
+    total = a[0] * np.exp(a[1] - scale)[..., None] + b[0] * np.exp(b[1] - scale)[..., None]
+    peak = total.max(axis=-1)
+    return total / peak[..., None], scale + np.log(peak)
 
 
 def _power(base: _Rows, exponent: int, squares: list[_Rows]) -> _Rows | None:
@@ -284,19 +297,19 @@ def _vote_win_probability(designated: list[bool], p_designated: float, p_other: 
         lt_o, le_o = (_series(log_po, u, m - 1, log_fact), _series(log_po, u, m, log_fact))
         lt_squares: list[_Rows] = []
         le_squares: list[_Rows] = []
-        prefixes = [_power(lt_o, int(gaps[0]), lt_squares)]
-        for gap in gaps[1:-1]:
-            prefixes.append(_multiply(_multiply(prefixes[-1], lt_d), _power(lt_o, int(gap), lt_squares)))
-        suffix = _power(le_o, int(gaps[-1]), le_squares)
-        total = 0.0
-        for i in range(count - 1, -1, -1):
-            # The others can hold at most m-1 samples each before d, m after it.
-            reachable = (n_items - 1) * m - positions[i] >= degree
-            value, scale = _coefficient(prefixes[i], suffix, degree)
-            total += float(np.exp(np.where(reachable, log_weight + scale, -np.inf)) @ value)
-            if i:
-                suffix = _multiply(_multiply(suffix, le_d), _power(le_o, int(gaps[i]), le_squares))
-        return total
+        # Right to left over the designated items: `after` is the product of
+        # the "<= m" factors past the current one, `wins` the sum, over the
+        # designated items at or past it, of the "< m" factors up to each
+        # times the "<= m" factors past it.
+        after = wins = _power(le_o, int(gaps[-1]), le_squares)
+        for gap in gaps[-2:0:-1]:
+            after = _multiply(_multiply(after, le_d), _power(le_o, int(gap), le_squares))
+            wins = _add(after, _multiply(_multiply(wins, lt_d), _power(lt_o, int(gap), lt_squares)))
+        # The others can hold at most m-1 samples each before the first
+        # designated item, m after it; no later one can reach more.
+        reachable = (n_items - 1) * m - positions[0] >= degree
+        value, scale = _coefficient(_power(lt_o, int(gaps[0]), lt_squares), wins, degree)
+        return float(np.exp(np.where(reachable, log_weight + scale, -np.inf)) @ value)
     # Random ties: the integrand is a polynomial in x of degree at most
     # min(N-1, eta-1), the most others that can tie, so Gauss-Legendre
     # with that many nodes over two is exact.

@@ -72,7 +72,7 @@ class BooleanPredicate:
         """Build from a bitmask with bit j-1 = value on item j."""
         if mask < 0 or mask >> max(size, 0):
             raise DomainError(f"mask {mask:#x} does not fit {size} items")
-        return cls(size, frozenset(j for j in range(1, size + 1) if (mask >> (j - 1)) & 1))
+        return cls(size, frozenset(j for j in range(1, mask.bit_length() + 1) if (mask >> (j - 1)) & 1))
 
     @classmethod
     def from_text(cls, size: int, marks_text: str | None = None, mask_hex: str | None = None) -> BooleanPredicate:

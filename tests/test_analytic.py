@@ -361,6 +361,30 @@ class TestExactFailureProbability:
         assert failure == pytest.approx(
             success_by_composition_enumeration(probs, unmarked, eta, tie), abs=1e-12)
 
+    def test_lowest_index_memory_does_not_grow_with_designated_items(self):
+        # Failure at t=1 designates the 255 unmarked items, success the one
+        # marked item; the right-to-left running sum holds the same few
+        # batches for both.
+        model = amplitudes(256, 1)
+        pred = BooleanPredicate.from_marks(256, [1])
+        peaks = []
+        for probability in (exact_success_probability, exact_failure_probability):
+            tracemalloc.start()
+            try:
+                probability(model, pred, 70)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert peaks[1] <= 1.5 * peaks[0], peaks
+
+    @pytest.mark.parametrize("n", [1024, 4096])
+    def test_success_and_failure_sum_to_one_at_large_designated_counts(self, n):
+        # Item N/2 marked: failure sums over N-1 designated items.
+        for eta in (1, 2, 3, 4):
+            success, failure = _exact_pair(n, [n // 2], eta, "lowest_index")
+            assert abs(success + failure - 1.0) <= 3e-13, (eta, success, failure)
+
     def test_validation_matches_success(self):
         model = amplitudes(1024, 1)
         pred = BooleanPredicate.from_marks(1024, [1])

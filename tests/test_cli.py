@@ -4,13 +4,19 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from paritysearch import complexity as cx
 from paritysearch.cli import main
 
 
@@ -163,6 +169,19 @@ class TestGates:
         assert doc["result"]["tally"]["multi_controlled_flips"] == 9
         assert doc["result"]["tally"]["hadamards"] == 7
         assert doc["checks"]["gate_list_cross_check"] == "pass"
+
+    def test_cross_check_passes_with_nothing_marked(self, runner):
+        # Step 4 is predicted at zero flips and has no record in the gate list.
+        doc = invoke_json(runner, ["gates", "--n", "4", "--eta", "3", "--t", "0"])
+        assert doc["result"]["tally"]["by_step"]["step4"] == {"value_controlled_flip": 0}
+        assert doc["checks"]["gate_list_cross_check"] == "pass"
+
+    def test_cross_check_compares_the_whole_tally(self, runner, monkeypatch):
+        enumerate_records = cx.tally_of_records
+        monkeypatch.setattr(cx, "tally_of_records", lambda *args: replace(
+            enumerate_records(*args), elementary_total=-1))
+        doc = invoke_json(runner, ["gates", "--n", "4", "--eta", "2", "--t", "1"])
+        assert doc["checks"]["gate_list_cross_check"] == "fail"
 
     def test_query_comparison_block(self, runner):
         doc = invoke_json(runner, ["gates", "--n", "64", "--t", "1"])
@@ -406,6 +425,21 @@ class TestExitContract:
         result = runner.invoke(main, ["analytic", "--n", str(2**40), "--t", "1", "--trials", "2"])
         self.one_line_exit(result, 3)
         assert "physical memory" in result.stderr
+
+    def test_mask_reads_only_its_own_bits(self):
+        # A bitmask on N = 2**40 is read bit by bit up to its highest set
+        # bit, not item by item, so it is refused as fast as --marks.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        lines = []
+        for predicate in (["--mask", "0x1"], ["--marks", "1"]):
+            proc = subprocess.run(
+                [sys.executable, "-m", "paritysearch.cli", "analytic", "--n", str(2**40),
+                 *predicate, "--trials", "2"],
+                capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10)
+            assert proc.returncode == 3, proc.stderr
+            lines.append(proc.stderr)
+        assert lines[0] == lines[1]
+        assert len(lines[0].splitlines()) == 1
 
     def test_monte_carlo_memory_check_uses_the_machine(self, runner, monkeypatch):
         # 1024 items fit any machine but not one of 16 KiB.
