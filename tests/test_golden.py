@@ -22,6 +22,8 @@ GOLDEN = {
     "simulate_n8_eta3.json": ["simulate", "--n", "8", "--marks", "3", "--eta", "3", "--seed", "7"],
     "simulate_n2_eta6.csv": ["simulate", "--n", "2", "--mask", "0x1", "--eta", "6", "--seed", "2",
                              "--format", "csv"],
+    "simulate_n4_eta6.json": ["simulate", "--n", "4", "--eta", "6", "--marks", "1,4",
+                              "--seed", "3"],
     "simulate_n4_capture.json": ["simulate", "--n", "4", "--marks", "3", "--eta", "3",
                                  "--seed", "1", "--capture"],
     "analytic_n16_exact.json": ["analytic", "--n", "16", "--t", "1", "--eta", "64"],
