@@ -212,7 +212,9 @@ def run_circuit(
     cannot hold.  Without it, no gate list is built: each step is derived
     from the layout and the predicate.  Steps 2a and 6 go through the
     block kernel of `statevector`, as Hadamard blocks and as one
-    reflection block I - 2J/N per sample register.  Steps 3-5, the query,
+    reflection block I - 2J/N per sample register; it skips the state's
+    all-zero pieces, all but incidence row 0 at step 2a and all but the
+    two rows of incidence value 0 at step 6.  Steps 3-5, the query,
     are one pass: each cache-sized block of the state takes step 3's net
     incidence flips (an XOR keyed by the sample registers), step 4's as
     one parity-keyed swap of the ancilla, and step 5's in turn.  Each step

@@ -29,6 +29,7 @@ from .errors import CapacityError, DomainError
 from .oracle import BooleanPredicate, SearchParameters
 
 _TIE_BREAKS = {"lowest": "lowest_index", "random": "random"}
+_BYTES_PER_MARK = 96  # a marked item's int and set slot, 64-90 B by tracemalloc
 
 
 def _format_float(x: float) -> str:
@@ -158,6 +159,10 @@ def _resolve_instance(values: dict) -> tuple[int, int, float | None, BooleanPred
         return n, eta, constant, BooleanPredicate.from_text(n, marks, mask)
     if t < 0 or t > n:
         raise DomainError(f"marked count {t} outside 0..{n}")
+    have = sv.physical_memory_bytes()
+    if have is not None and t * _BYTES_PER_MARK > have:
+        raise CapacityError(f"--t {t} needs {t * _BYTES_PER_MARK / 2**30:.1f} GiB for its marked set, "
+                            f"more than the {have / 2**30:.1f} GiB of physical memory")
     return n, eta, constant, BooleanPredicate.from_marks(n, range(1, t + 1))
 
 

@@ -5,8 +5,9 @@ phase gate, value-conditioned multi-controlled flips and phase flips,
 the inversion-about-average operator, marginal measurement, and state
 comparison modulo global phase.  The uncaptured circuit uses fused
 primitives: a kernel of small real blocks (Hadamards on up to three
-qubits, register inversions), and an XOR pass on the high qubits keyed
-by the low ones, which with a parity-keyed flip is the search's query.
+qubits, register inversions) that skips the state's all-zero pieces, and
+an XOR pass on the high qubits keyed by the low ones, which with a
+parity-keyed flip is the search's query.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -288,6 +289,15 @@ def _apply_block(
             chunk[...] = out
 
 
+def _live_units(floats: np.ndarray, size: int):
+    """The units of `size` floats that hold a nonzero float, or the only
+    one.  Zero is float equality: -0.0 is zero, a subnormal is not.  The
+    first 64 floats are tested before the whole unit, so a dense unit
+    costs one short read."""
+    units = floats.reshape(-1, size)
+    return units if len(units) == 1 else (u for u in units if u[:64].any() or u.any())
+
+
 def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     """Apply (kind, start, width) blocks on disjoint qubits, in place.
 
@@ -295,6 +305,10 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     contiguous piece of _PIECE_AMPLITUDES before the next piece is read,
     so the state streams through memory once for all of them; the others
     act on the whole state, one at a time.  All share one scratch.
+
+    A block maps zeros to zeros, so all-zero units are skipped (see
+    `_live_units`): pieces for the low blocks, aligned runs of
+    2**(start+width) amplitudes, the span it mixes, for a high block.
     """
     floats = state.amplitudes.view(np.float64)
     scratch = np.empty(min(2 * _BATCH_AMPLITUDES, floats.size))
@@ -302,13 +316,12 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     low = [run for run in runs if run[1] + run[2] <= piece_qubits]
     high = [run for run in runs if run[1] + run[2] > piece_qubits]
     if low:
-        step = 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)
-        for p in range(0, floats.size, step):
-            piece = floats[p : p + step]
+        for piece in _live_units(floats, 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)):
             for run in low:
                 _apply_block(piece, *run, scratch)
     for run in high:
-        _apply_block(floats, *run, scratch)
+        for unit in _live_units(floats, 2 << (run[1] + run[2])):
+            _apply_block(unit, *run, scratch)
 
 
 def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:

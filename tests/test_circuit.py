@@ -172,6 +172,19 @@ class TestRunCircuit:
                     assert fidelity_mod_phase(fast, literal) >= 1 - FIDELITY_ATOL
                     assert marginal_distribution(fast, incidence)[0] >= 1 - FIDELITY_ATOL
 
+    # 17-19 qubits span 4-16 pieces of the block kernel, so steps 2a and
+    # 6 skip the pieces the search leaves all zero.
+    @pytest.mark.parametrize("n, eta", [(2, 16), (4, 6), (8, 3)])
+    def test_fused_path_matches_literal_gates_across_pieces(self, n, eta):
+        params = SearchParameters(n, eta)
+        incidence = layout_for(params).incidence_qubits()
+        for t in (0, 1, n // 2, n):
+            pred = BooleanPredicate.from_marks(n, range(1, t + 1))
+            fast = run_circuit(params, pred).final_state
+            literal = run_circuit(params, pred, capture=True).final_state
+            assert fidelity_mod_phase(fast, literal) >= 1 - FIDELITY_ATOL
+            assert marginal_distribution(fast, incidence)[0] >= 1 - FIDELITY_ATOL
+
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_occurrence_masks_match_step3_records(self, seed, data):

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -440,6 +441,21 @@ class TestExitContract:
             lines.append(proc.stderr)
         assert lines[0] == lines[1]
         assert len(lines[0].splitlines()) == 1
+
+    @pytest.mark.parametrize("trials", [[], ["--trials", "2"]], ids=["exact", "monte-carlo"])
+    def test_t_is_priced_before_its_marks_are_built(self, trials):
+        # 2**33 marks would take hundreds of GiB.  Under a 3 GiB address
+        # space a regression fails at once instead of exhausting the machine.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "paritysearch.cli", "analytic", "--n", str(2**34),
+             "--t", str(2**33), *trials],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert "marked set" in proc.stderr
 
     def test_monte_carlo_memory_check_uses_the_machine(self, runner, monkeypatch):
         # 1024 items fit any machine but not one of 16 KiB.

@@ -445,6 +445,120 @@ class TestFusedPrimitives:
                 apply_xor_permutation(state, low, np.zeros(1 << low, dtype=int), key)
 
 
+def sparse_state(seed: int = 0) -> StateVector:
+    """18 qubits, eight pieces of the block kernel: random amplitudes in
+    the first, a middle and the last piece, -0.0 in piece 5, +0.0 in
+    pieces 1, 4 and 6, and in piece 2 only its last amplitude's imaginary
+    part is nonzero, the least subnormal 5e-324, past the prefix that the
+    zero test reads first."""
+    state = random_state(18, seed)
+    pieces = state.amplitudes.reshape(8, sv._PIECE_AMPLITUDES)
+    pieces[[1, 2, 4, 6]] = 0.0
+    pieces[5] = complex(-0.0, -0.0)
+    pieces[2, -1] = 5e-324j
+    return state
+
+
+def counted_blocks(monkeypatch) -> list:
+    """Record the (kind, start, width) of each `_apply_block` call."""
+    calls = []
+    apply = sv._apply_block
+
+    def recorded(floats, kind, start, width, scratch):
+        calls.append((kind, start, width))
+        apply(floats, kind, start, width, scratch)
+
+    monkeypatch.setattr(sv, "_apply_block", recorded)
+    return calls
+
+
+class TestZeroPieces:
+    """The block kernel skips the units a block would map from zero to
+    zero: pieces of 2**15 amplitudes for the low blocks, aligned runs of
+    2**(start+width) for a block reaching past them."""
+
+    @staticmethod
+    def check(fused, literal, dead):
+        state = sparse_state()
+        expected = state.copy()
+        literal(expected)
+        fused(state)
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+        pieces = state.amplitudes.reshape(8, -1)
+        assert not pieces[list(dead)].any()
+
+    # Low runs only, one run, a run from qubit 15 (two pieces per unit,
+    # {4, 5} dead), from qubit 16 (four pieces per unit, all live), runs
+    # on both sides of the boundary, and a run of the whole state.
+    @pytest.mark.parametrize("qubits, dead", [
+        (tuple(range(15)), (1, 4, 5, 6)), ((0,), (1, 4, 5, 6)), ((14,), (1, 4, 5, 6)),
+        ((15,), (4, 5)), ((16,), ()), ((3, 15, 16), ()), ((15, 16, 17), ()),
+    ])
+    def test_hadamards_match_sequential_hadamards(self, qubits, dead):
+        def literal(state):
+            for q in qubits:
+                apply_hadamard(state, q)
+
+        self.check(lambda s: apply_hadamards(s, qubits), literal, dead)
+
+    # Low registers only, then registers from qubit 15 on: three of one
+    # qubit, one of two straddling the boundary at 14, one of three.
+    @pytest.mark.parametrize("width, count, dead", [
+        (3, 5, (1, 4, 5, 6)), (1, 15, (1, 4, 5, 6)), (1, 18, ()), (2, 8, (4, 5)), (3, 6, ()),
+    ])
+    def test_register_inversions_match_inversion_about_average(self, width, count, dead):
+        def literal(state):
+            for i in range(count):
+                apply_inversion_about_average(state, range(i * width, (i + 1) * width))
+
+        self.check(lambda s: apply_register_inversions(s, width, count), literal, dead)
+
+    def test_subnormal_piece_is_processed(self):
+        # The one-qubit inversion is [[0, -1], [-1, 0]]: it moves the
+        # subnormal's imaginary part, negated, to the even amplitude.
+        state = sparse_state()
+        apply_register_inversions(state, 1, 1)
+        piece = state.amplitudes.reshape(8, -1)[2]
+        assert piece[-1] == 0
+        assert piece[-2] == -5e-324j
+        assert np.count_nonzero(piece) == 1
+
+    def test_negative_zero_piece_is_skipped(self, monkeypatch):
+        # Pieces 0, 2, 3 and 7 are live; 1, 4 and 6 hold +0.0, 5 -0.0.
+        calls = counted_blocks(monkeypatch)
+        state = sparse_state()
+        apply_hadamards(state, (0, 1, 2))
+        assert len(calls) == 4
+        assert np.signbit(state.amplitudes.reshape(8, -1)[5].view(np.float64)).all()
+
+    @pytest.mark.parametrize("live", [0, 3, 7])
+    def test_one_call_per_low_run_when_one_piece_is_live(self, live, monkeypatch):
+        state = StateVector(18, np.zeros(1 << 18))
+        state.amplitudes.reshape(8, -1)[live] = random_state(15, seed=live).amplitudes
+        calls = counted_blocks(monkeypatch)
+        apply_hadamards(state, range(15))
+        assert len(calls) == 5
+        del calls[:]
+        apply_register_inversions(state, 1, 15)
+        assert len(calls) == 15
+
+    # A block on qubit 15 takes units of two pieces, of which {4, 5}
+    # holds zeros alone; on qubit 16, units of four pieces, all live; on
+    # qubit 17, the whole state, which is never tested.
+    @pytest.mark.parametrize("qubit, units", [(15, 3), (16, 2), (17, 1)])
+    def test_high_run_is_applied_to_its_live_units(self, qubit, units, monkeypatch):
+        calls = counted_blocks(monkeypatch)
+        state = sparse_state()
+        apply_hadamards(state, (qubit,))
+        assert len(calls) == units
+
+    def test_state_of_one_piece_is_one_unit(self, monkeypatch):
+        # Not tested for zeros: even an all-zero piece is multiplied.
+        calls = counted_blocks(monkeypatch)
+        apply_hadamards(StateVector(15, np.zeros(1 << 15)), range(15))
+        assert len(calls) == 5
+
+
 def xor_workers(monkeypatch) -> list:
     """Record the block width, in columns, of each worker that
     `apply_xor_permutation` starts."""
@@ -635,6 +749,20 @@ class TestMemoryContract:
 
     @pytest.mark.parametrize("width, count", [(3, 5), (4, 4), (1, 18)])
     def test_register_inversions(self, state, width, count):
+        peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
+        assert peak <= self.BUFFER_BOUND
+
+    # The zero test reads the pieces in place, all of them where the
+    # prefix is zero.
+    @pytest.mark.parametrize("qubits", [tuple(range(15)), (0,), (15,), (1, 2, 5, 9, 17)])
+    def test_hadamards_on_a_sparse_state(self, qubits):
+        state = sparse_state()
+        peak = self.traced_peak(lambda: apply_hadamards(state, qubits))
+        assert peak <= self.BUFFER_BOUND
+
+    @pytest.mark.parametrize("width, count", [(3, 5), (4, 4), (1, 18)])
+    def test_register_inversions_on_a_sparse_state(self, width, count):
+        state = sparse_state()
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
