@@ -445,13 +445,13 @@ class TestFusedPrimitives:
                 apply_xor_permutation(state, low, np.zeros(1 << low, dtype=int), key)
 
 
-def sparse_state(seed: int = 0) -> StateVector:
+def sparse_state() -> StateVector:
     """18 qubits, eight pieces of the block kernel: random amplitudes in
     the first, a middle and the last piece, -0.0 in piece 5, +0.0 in
     pieces 1, 4 and 6, and in piece 2 only its last amplitude's imaginary
     part is nonzero, the least subnormal 5e-324, past the prefix that the
     zero test reads first."""
-    state = random_state(18, seed)
+    state = random_state(18, seed=0)
     pieces = state.amplitudes.reshape(8, sv._PIECE_AMPLITUDES)
     pieces[[1, 2, 4, 6]] = 0.0
     pieces[5] = complex(-0.0, -0.0)
