@@ -378,10 +378,8 @@ class MonteCarloEstimate:
 
 
 # Monte Carlo runs its trials in chunks of max(1, 2**15 // width), width
-# being the row length of the chunk's largest array: max(eta, N) when
-# sampling (below 4N), N for the multinomial draw, which holds nothing
-# eta-sized.  An array thus holds at most max(2**15, 4N) entries, 256 KiB as
-# int64 or float64 up to N=8192, whatever the trials or n_samples.
+# from `_row_width`.  An array thus holds at most max(2**15, 4N) entries,
+# 256 KiB as int64 or float64 up to N=8192, whatever the trials or n_samples.
 _CHUNK_ENTRIES = 1 << 15
 # Below this many samples per item each sample is drawn on its own, O(eta)
 # per trial; from it on one multinomial call draws the counts, O(N) per
@@ -390,17 +388,20 @@ _SAMPLING_SAMPLES_PER_ITEM = 4
 _BYTES_PER_ENTRY = 32  # peak bytes per entry of a chunk's largest row, per-item arrays included
 
 
-def _count_draw(model: AmplitudeModel, is_marked: np.ndarray, n_samples: int):
-    """(draw, width): draw(rng, rows) gives a (rows, N) matrix of item counts.
+def _row_width(n_items: int, n_samples: int) -> int:
+    """Entries per row of a chunk's largest array: max(eta, N) when
+    sampling (below 4N), N for the multinomial draw (nothing eta-sized)."""
+    return n_items if n_samples >= _SAMPLING_SAMPLES_PER_ITEM * n_items else max(n_samples, n_items)
 
-    Each row is one trial's counts of n_samples draws from the per-sample
-    distribution.  width is the entries per row of draw's largest array.
-    """
+
+def _count_draw(model: AmplitudeModel, is_marked: np.ndarray, n_samples: int):
+    """draw(rng, rows): a (rows, N) matrix of item counts, each row one
+    trial's counts of n_samples draws from the per-sample distribution."""
     n_items, n_marked = model.n_items, model.marked_count
     if n_samples >= _SAMPLING_SAMPLES_PER_ITEM * n_items:
         pvec = np.where(is_marked, model.p_marked, model.p_unmarked)
         pvec /= pvec.sum()
-        return (lambda rng, rows: rng.multinomial(n_samples, pvec, size=rows)), n_items
+        return lambda rng, rows: rng.multinomial(n_samples, pvec, size=rows)
 
     # A sample is marked with probability q, then uniform within its class.
     # Positions index the items with the marked ones first.
@@ -421,7 +422,7 @@ def _count_draw(model: AmplitudeModel, is_marked: np.ndarray, n_samples: int):
         counts = np.bincount(positions.ravel(), minlength=rows * n_items)
         return counts.reshape(rows, n_items)[:, column]
 
-    return draw, max(n_samples, n_items)
+    return draw
 
 
 def _majority_winners(counts: np.ndarray, tie_break: TieBreak,
@@ -462,17 +463,12 @@ def monte_carlo_success_probability(
         raise DomainError(f"unknown tie-break policy {tie_break!r}")
     if n_samples > np.iinfo(np.int64).max:
         raise DomainError(f"sample count {n_samples} exceeds 2**63 - 1")
-    # `_count_draw`'s width, before any N-sized array exists.
-    width = max(n_samples, model.n_items)
-    if n_samples >= _SAMPLING_SAMPLES_PER_ITEM * model.n_items:
-        width = model.n_items
-    have = sv.physical_memory_bytes()
-    if have is not None and _BYTES_PER_ENTRY * width > have:
-        raise CapacityError(f"Monte Carlo rows of {width} entries need {_BYTES_PER_ENTRY * width / 2**30:.1f}"
-                            f" GiB, more than the {have / 2**30:.1f} GiB of physical memory")
+    # Priced before any N-sized array exists.
+    width = _row_width(model.n_items, n_samples)
+    sv.check_memory(_BYTES_PER_ENTRY * width, f"a Monte Carlo row of {width} entries")
     is_marked = np.zeros(model.n_items, dtype=bool)
     is_marked[[j - 1 for j in pred.marks]] = True
-    draw, _ = _count_draw(model, is_marked, n_samples)
+    draw = _count_draw(model, is_marked, n_samples)
     chunk = max(1, _CHUNK_ENTRIES // width)
     root = np.random.SeedSequence(seed)
     successes = 0

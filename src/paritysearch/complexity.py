@@ -1,10 +1,9 @@
 """Gate-count accounting under explicit cost models.
 
 Raw per-category counts follow the emitted circuit exactly.  The
-weighted total depends on a cost model with two knobs: the constant for
-decomposing an n-controlled gate into elementary two-qubit gates, and
-which population of occurrence-parity flips is counted.  Two models
-ship:
+weighted total depends on a cost model: a fixed constant for decomposing
+an n-controlled gate into elementary two-qubit gates, and which
+population of occurrence-parity flips is counted.  Two models ship:
 
 * ``paper``        - counts 2*n_samples conditioned flips for the two
                      occurrence-parity passes, the reading under which
@@ -31,25 +30,19 @@ from .oracle import BooleanPredicate, SearchParameters, _check_power_of_two
 PAPER_MODEL = "paper"
 NAIVE_MODEL = "naive_decoder"
 
-# Order-of-magnitude placeholder for decomposing one n-controlled gate into
-# elementary gates; non-normative, only scaling claims are tested.
-DEFAULT_MULTI_CONTROL_UNIT = 48
-
 
 @dataclass(frozen=True)
 class CostModel:
     """Elementary-gate cost rule for abstract circuit gates."""
 
     name: str
-    multi_control_unit: int = DEFAULT_MULTI_CONTROL_UNIT
+    # Order-of-magnitude placeholder for decomposing one n-controlled gate
+    # into elementary gates; non-normative, only scaling claims are tested.
+    multi_control_unit = 48
 
     def __post_init__(self) -> None:
         if self.name not in (PAPER_MODEL, NAIVE_MODEL):
             raise DomainError(f"unknown cost model {self.name!r}")
-        if self.multi_control_unit < 1:
-            raise DomainError(
-                f"multi-control unit must be >= 1, got {self.multi_control_unit}"
-            )
 
     def cost_of_multi_controlled(self, n_controls: int) -> int:
         """Elementary gates for one flip/phase conditioned on n_controls qubits.
@@ -70,19 +63,19 @@ class CostModel:
         return 2 * n_samples * n_items
 
 
-def paper_cost_model(unit: int = DEFAULT_MULTI_CONTROL_UNIT) -> CostModel:
-    return CostModel(PAPER_MODEL, unit)
+def paper_cost_model() -> CostModel:
+    return CostModel(PAPER_MODEL)
 
 
-def naive_cost_model(unit: int = DEFAULT_MULTI_CONTROL_UNIT) -> CostModel:
-    return CostModel(NAIVE_MODEL, unit)
+def naive_cost_model() -> CostModel:
+    return CostModel(NAIVE_MODEL)
 
 
-def cost_model_by_name(name: str, unit: int = DEFAULT_MULTI_CONTROL_UNIT) -> CostModel:
+def cost_model_by_name(name: str) -> CostModel:
     aliases = {"paper": PAPER_MODEL, "naive": NAIVE_MODEL, "naive_decoder": NAIVE_MODEL}
     if name not in aliases:
         raise DomainError(f"unknown cost model {name!r}")
-    return CostModel(aliases[name], unit)
+    return CostModel(aliases[name])
 
 
 @dataclass(frozen=True)
@@ -233,9 +226,7 @@ class QueryComparison:
     single_item_queries: int
 
 
-def query_count_comparison(
-    n_items: int, marked_count: int, query_constant: float = 1.0
-) -> QueryComparison:
+def query_count_comparison(n_items: int, marked_count: int) -> QueryComparison:
     """Query budget comparison; the subset-parity route always uses one."""
     _check_power_of_two(n_items)
     if marked_count < 1:
@@ -244,7 +235,5 @@ def query_count_comparison(
         )
     if marked_count > n_items:
         raise DomainError(f"marked count {marked_count} exceeds item count {n_items}")
-    if query_constant <= 0:
-        raise DomainError(f"query constant must be > 0, got {query_constant}")
-    single = math.ceil(query_constant * math.sqrt(n_items / marked_count))
+    single = math.ceil(math.sqrt(n_items / marked_count))
     return QueryComparison(subset_parity_queries=1, single_item_queries=single)

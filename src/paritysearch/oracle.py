@@ -202,14 +202,13 @@ def verify_parity_identity(
     mode: Literal["exhaustive", "sampled"] = "exhaustive",
     trials: int = 1000,
     seed: int | None = None,
-    enumeration_cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> ParityIdentityReport:
     """Check the double-counting identity on sample tuples.
 
     For every checked tuple, the subset-parity query evaluated on the
     tuple's incidence vector must equal the mod-2 sum of the predicate
     over the tuple entries.  Exhaustive mode enumerates all N**n_samples
-    tuples and refuses to start past `enumeration_cap`.
+    tuples and refuses to start past DEFAULT_ENUMERATION_CAP.
     """
     if n_samples < 1:
         raise DomainError(f"sample count must be >= 1, got {n_samples}")
@@ -218,9 +217,9 @@ def verify_parity_identity(
     violations = 0
     if mode == "exhaustive":
         total = n**n_samples
-        if total > enumeration_cap:
+        if total > DEFAULT_ENUMERATION_CAP:
             raise CapacityError(
-                f"exhaustive check needs {total} tuples, above the cap {enumeration_cap}"
+                f"exhaustive check needs {total} tuples, above the cap {DEFAULT_ENUMERATION_CAP}"
             )
         for values in itertools.product(range(1, n + 1), repeat=n_samples):
             checked += 1

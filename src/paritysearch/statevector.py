@@ -6,8 +6,8 @@ the inversion-about-average operator, marginal measurement, and state
 comparison modulo global phase.  The uncaptured circuit uses fused
 primitives: a kernel of small real blocks (Hadamards on up to three
 qubits, register inversions) that skips the state's all-zero pieces, and
-an XOR pass on the high qubits keyed by the low ones, which with a
-parity-keyed flip is the search's query.
+the search's query: an XOR pass on the high qubits keyed by the low
+ones, twice around a parity-keyed flip of the top qubit.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -20,8 +20,8 @@ at most 2**12, on the calling thread, one piece of 2**15 at a time), and
 the XOR pass's blocks of a piece or a quarter of the state, split
 between two workers from 17 qubits up where the process may run on two
 CPUs.  The literal inversion about average alone holds one register mean
-per setting of the other qubits.  `check_capacity` refuses, before any
-allocation, what the qubit cap or physical memory cannot hold.
+per setting of the other qubits.  Before any allocation, `check_capacity`
+refuses past the qubit cap and `check_memory` past physical memory.
 """
 
 from __future__ import annotations
@@ -163,22 +163,25 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
+def check_memory(need: int, what: str) -> None:
+    """Refuse `need` bytes for `what` past physical memory: the one price
+    of an input's bytes, for states, Monte Carlo rows and marked sets."""
+    have = physical_memory_bytes()
+    if have is not None and need > have:
+        raise CapacityError(f"{what}: {need / 2**30:.1f} GiB, more than the "
+                            f"{have / 2**30:.1f} GiB of physical memory")
+
+
 def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: str = "") -> None:
     """Refuse n_qubits above the qubit cap, or `copies` states of them
     past physical memory (copies = 0 checks the cap alone).  The message
     names `what` and how its qubits add up (`terms`, e.g. "5*4+32+1")."""
     cap = qubit_cap()
-    have = physical_memory_bytes()
+    needs = f"{what} needs {terms + ' = ' if terms else ''}{n_qubits} qubits"
     if n_qubits > cap:
-        limit = f"above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})"
-    elif have is not None and (need := (copies << n_qubits) * 16) > have:  # 16 B per amplitude
-        limit = (
-            f"{need / 2**30:.1f} GiB for {copies} state{'s' if copies > 1 else ''}, "
-            f"more than the {have / 2**30:.1f} GiB of physical memory"
-        )
-    else:
-        return
-    raise CapacityError(f"{what} needs {terms + ' = ' if terms else ''}{n_qubits} qubits, {limit}")
+        raise CapacityError(f"{needs}, above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})")
+    # 16 B per amplitude
+    check_memory((copies << n_qubits) * 16, f"{needs}, {copies} state{'s' if copies > 1 else ''}")
 
 
 def zero_state(n_qubits: int) -> StateVector:
@@ -355,14 +358,13 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
 
 
 def _xor_columns(
-    amplitudes: np.ndarray, masks: np.ndarray, cols: int, starts: deque,
-    odd_rows: np.ndarray | None,
+    amplitudes: np.ndarray, masks: np.ndarray, cols: int, starts: deque, odd_rows: np.ndarray
 ) -> None:
     """Pass blocks of `cols` columns of `apply_xor_permutation`'s grid,
     taking each block's first column from `starts` until none is left: copy
-    the block, gather it through a block-local index, and with `odd_rows`
-    flip the top row bit on those rows and gather again, then write it
-    back.  It calls numpy alone, so it may run on a worker thread."""
+    the block, gather it through a block-local index, flip the top row bit
+    on `odd_rows`, gather again and write it back.  It calls numpy alone,
+    so it may run on a worker thread."""
     high = amplitudes.size // len(masks)
     grid = amplitudes.reshape(high, len(masks))
     shift = cols.bit_length() - 1
@@ -384,18 +386,16 @@ def _xor_columns(
         keys = new
         # Every index is in range; mode "raise" would buffer `out` again.
         np.take(block, index, out=out, mode="wrap")
-        if odd_rows is not None:
-            # Swap the halves' odd rows through `block`, free until the
-            # second gather overwrites it.
-            lower, upper = out.reshape(2, -1, cols)
-            spare = block.reshape(2, -1)[:, : len(odd_rows) * cols].reshape(2, -1, cols)
-            np.take(lower, odd_rows, axis=0, out=spare[0], mode="wrap")
-            np.take(upper, odd_rows, axis=0, out=spare[1], mode="wrap")
-            lower[odd_rows] = spare[1]
-            upper[odd_rows] = spare[0]
-            np.take(out, index, out=block, mode="wrap")
-            out, block = block, out
-        grid[:, c : c + cols] = out
+        # Swap the halves' odd rows through `block`, free until the second
+        # gather overwrites it.
+        lower, upper = out.reshape(2, -1, cols)
+        spare = block.reshape(2, -1)[:, : len(odd_rows) * cols].reshape(2, -1, cols)
+        np.take(lower, odd_rows, axis=0, out=spare[0], mode="wrap")
+        np.take(upper, odd_rows, axis=0, out=spare[1], mode="wrap")
+        lower[odd_rows] = spare[1]
+        upper[odd_rows] = spare[0]
+        np.take(out, index, out=block, mode="wrap")
+        grid[:, c : c + cols] = block
 
 
 def _worker_pool():
@@ -411,11 +411,11 @@ def _worker_pool():
 
 
 def apply_xor_permutation(
-    state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int | None = None
+    state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int
 ) -> StateVector:
-    """Map |h, c> to |h XOR masks[c], c>, in place.  With `parity_key`,
-    then flip the top qubit where h AND parity_key has odd parity, and
-    map again: steps 3-5 of the search, its one query.
+    """Map |h, c> to |h XOR masks[c], c>, flip the top qubit where
+    h AND parity_key has odd parity, and map again, in place: steps 3-5
+    of the search, its one query.
 
     c is the value of the lowest `low_qubits` qubits and h that of the
     rest.  XOR is an involution, so gathering row h XOR masks[c] of each
@@ -441,15 +441,13 @@ def apply_xor_permutation(
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
     if masks.min() < 0 or masks.max() >= high:
         raise DomainError(f"masks must lie in 0..{high - 1}")
-    odd_rows = None
-    if parity_key is not None:
-        if not 0 <= parity_key < high // 2:
-            raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
-        # The parity of h AND parity_key for h below high/2, one bit at a time.
-        odd = np.zeros(1, dtype=bool)
-        for b in range(state.n_qubits - low_qubits - 1):
-            odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
-        odd_rows = np.flatnonzero(odd)
+    if not 0 <= parity_key < high // 2:
+        raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
+    # The parity of h AND parity_key for h below high/2, one bit at a time.
+    odd = np.zeros(1, dtype=bool)
+    for b in range(state.n_qubits - low_qubits - 1):
+        odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
+    odd_rows = np.flatnonzero(odd)
     block = min(_PIECE_AMPLITUDES, state.amplitudes.size // 4)
     workers = max(1, min(_CPUS, 2 * block // _PIECE_AMPLITUDES, block // high))
     cols = min(width, max(block // (workers * high), 1))

@@ -497,8 +497,8 @@ class TestMonteCarlo:
         model = amplitudes(n, 3)
         pred = BooleanPredicate.from_marks(n, [2, 5, 8])
         is_marked = np.array([pred.value(j) for j in range(1, n + 1)], dtype=bool)
-        draw, width = analytic._count_draw(model, is_marked, eta)
-        chunk = analytic._CHUNK_ENTRIES // width
+        draw = analytic._count_draw(model, is_marked, eta)
+        chunk = analytic._CHUNK_ENTRIES // analytic._row_width(n, eta)
         trials = 2 * chunk + 7
         for seed in (0, 7, 2**40 + 3):
             successes = 0
@@ -540,8 +540,8 @@ class TestMonteCarlo:
             model = amplitudes(n, t)
             pvec = per_sample_distribution(model, pred)
             is_marked = np.array([pred.value(j) for j in range(1, n + 1)], dtype=bool)
-            draw, width = analytic._count_draw(model, is_marked, eta)
-            assert width == (max(eta, n) if draw_kind == "sampling" else n)
+            draw = analytic._count_draw(model, is_marked, eta)
+            assert analytic._row_width(n, eta) == (max(eta, n) if draw_kind == "sampling" else n)
             counts = draw(np.random.default_rng(n + t), rows)
             assert counts.shape == (rows, n)
             assert (counts.sum(axis=1) == eta).all()

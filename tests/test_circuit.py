@@ -32,7 +32,6 @@ from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
     StateVector,
-    apply_xor_permutation,
     fidelity_mod_phase,
     marginal_distribution,
 )
@@ -188,8 +187,9 @@ class TestRunCircuit:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_occurrence_masks_match_step3_records(self, seed, data):
-        # Any input state, not only the circuit's: the XOR pass with the
-        # cached masks is the net permutation of the step-3 flips.
+        # Any input state, not only the circuit's: the step-3 flips map
+        # |h, c> to |h XOR masks[c], c>, the index oracle of the query
+        # pass's XOR with the cached masks.
         n, max_eta = data.draw(st.sampled_from([(2, 4), (4, 2), (8, 1)]))
         eta = data.draw(st.integers(1, max_eta))
         params = SearchParameters(n, eta)
@@ -199,14 +199,15 @@ class TestRunCircuit:
         rng = np.random.default_rng(seed)
         size = 1 << layout.total_qubits
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-        literal = StateVector(layout.total_qubits, amps)
-        fused = literal.copy()
+        literal = StateVector(layout.total_qubits, amps.copy())
         for record in records:
             apply_record(literal, record)
         masks = _occurrence_masks(layout)
         assert not masks.flags.writeable
-        apply_xor_permutation(fused, layout.item_bits * eta, masks)
-        assert np.array_equal(fused.amplitudes, literal.amplitudes)
+        low = layout.item_bits * eta
+        i = np.arange(size)
+        c = i & ((1 << low) - 1)
+        assert np.array_equal(literal.amplitudes, amps[((i >> low) ^ masks[c]) << low | c])
 
     def test_uncaptured_run_checks_before_allocating(self, monkeypatch):
         # The run derives its steps without the gate list, so it makes

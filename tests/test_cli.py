@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from paritysearch import complexity as cx
+from paritysearch import statevector as sv
 from paritysearch.cli import main
 
 
@@ -457,9 +458,26 @@ class TestExitContract:
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         assert "marked set" in proc.stderr
 
+    def test_marked_set_is_priced_against_the_machine(self, runner, monkeypatch):
+        # 512 marks, priced at 48 KiB, fit any machine but not one of 16 KiB.
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 16 << 10)
+        result = runner.invoke(main, ["analytic", "--n", "1024", "--t", "512"])
+        self.one_line_exit(result, 3)
+        assert "marked set" in result.stderr
+
+    def test_cli_import_makes_no_worker(self):
+        # The query pass imports concurrent.futures when it first splits,
+        # so setting up the CLI imports no thread pool.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, paritysearch.cli; print('concurrent.futures' in sys.modules)"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_monte_carlo_memory_check_uses_the_machine(self, runner, monkeypatch):
         # 1024 items fit any machine but not one of 16 KiB.
-        from paritysearch import statevector as sv
         args = ["analytic", "--n", "1024", "--t", "1", "--eta", "64", "--trials", "2"]
         assert runner.invoke(main, args).exit_code == 0
         monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 16 << 10)

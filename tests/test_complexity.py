@@ -105,7 +105,7 @@ class TestCostModels:
             cost_model_by_name("other")
 
     def test_cost_positive_and_monotone(self):
-        for model in (paper_cost_model(), naive_cost_model(7)):
+        for model in (paper_cost_model(), naive_cost_model()):
             costs = [model.cost_of_multi_controlled(k) for k in range(0, 9)]
             assert all(c >= 1 for c in costs)
             assert costs == sorted(costs)
@@ -178,9 +178,6 @@ class TestQueryComparison:
     def test_nothing_marked_rejected(self):
         with pytest.raises(DomainError):
             query_count_comparison(64, 0)
-
-    def test_constant_scales(self):
-        assert query_count_comparison(64, 1, query_constant=2.0).single_item_queries == 16
 
     def test_always_one_parity_query(self):
         for n in (2, 16, 256):

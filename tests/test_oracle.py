@@ -18,6 +18,7 @@ from paritysearch import (
     subset_parity_query,
     verify_parity_identity,
 )
+from paritysearch import oracle
 
 
 class TestSearchParameters:
@@ -177,9 +178,10 @@ class TestParityIdentity:
         assert report.checked == 1000
         assert report.violations == 0
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
+        monkeypatch.setattr(oracle, "DEFAULT_ENUMERATION_CAP", 10)
         with pytest.raises(CapacityError):
-            verify_parity_identity(BooleanPredicate.from_marks(4, [1]), 3, enumeration_cap=10)
+            verify_parity_identity(BooleanPredicate.from_marks(4, [1]), 3)
 
     def test_unknown_mode(self):
         with pytest.raises(DomainError):

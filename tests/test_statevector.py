@@ -7,6 +7,7 @@ import sys
 import time
 import tracemalloc
 from functools import reduce
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -144,6 +145,14 @@ class TestCapacity:
             call()
         monkeypatch.setattr(sv, "physical_memory_bytes", lambda: kept * state_bytes)
         call()
+
+    def test_one_module_reads_the_limits(self):
+        # The other modules price their bytes through `check_memory` and
+        # their qubits through `check_capacity`.
+        for path in sorted(Path(sv.__file__).parent.glob("*.py")):
+            text = path.read_text()
+            reads = "physical_memory_bytes" in text or "QUBIT_CAP_ENV_VAR" in text
+            assert reads == (path.name == "statevector.py"), path.name
 
 
 class TestSingleQubitGates:
@@ -376,43 +385,34 @@ class TestFusedPrimitives:
     @settings(deadline=None, max_examples=80)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_xor_permutation_matches_index_oracle(self, seed, data):
-        n = data.draw(st.integers(1, 8))
-        low = data.draw(st.integers(0, n))
+        n, low, key = self.draw_query(data, 8)
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
-        self.check_xor_permutation(n, low, dtype, seed)
+        self.check_query_pass(n, low, key, dtype, seed)
 
     # With pieces of 8 or 16 amplitudes the columns go in several blocks,
-    # down to one column per block.
-    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_xor_permutation_in_small_pieces(self, piece, seed, data):
-        n = data.draw(st.integers(1, 8))
-        low = data.draw(st.integers(0, n))
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            self.check_xor_permutation(n, low, np.int64, seed)
-
-    @staticmethod
-    def check_xor_permutation(n, low, dtype, seed):
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        state = random_state(n, seed)
-        index = np.arange(1 << n)
-        c = index & ((1 << low) - 1)
-        expected = state.amplitudes[((index >> low) ^ masks[c]) << low | c]
-        apply_xor_permutation(state, low, masks.astype(dtype))
-        assert np.array_equal(state.amplitudes, expected)
-
-    # With a parity key the pass maps, flips the top qubit where the high
-    # bits under the key have odd parity, and maps again.
+    # down to one column per block; with the default piece, in one.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_query_pass_matches_index_oracle(self, piece, seed, data):
-        n = data.draw(st.integers(1, 9))
-        low = data.draw(st.integers(0, n - 1))
-        key = data.draw(st.integers(0, (1 << (n - low - 1)) - 1))
+        n, low, key = self.draw_query(data, 9)
         workers = data.draw(st.sampled_from([1, 2]))
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
+                mock.patch.object(sv, "_CPUS", workers):
+            self.check_query_pass(n, low, key, np.int64, seed)
+
+    @staticmethod
+    def draw_query(data, most_qubits):
+        """Qubits, low qubits below at least one high qubit, and a parity
+        key below the top qubit."""
+        n = data.draw(st.integers(1, most_qubits))
+        low = data.draw(st.integers(0, n - 1))
+        return n, low, data.draw(st.integers(0, (1 << (n - low - 1)) - 1))
+
+    # The pass maps, flips the top qubit where the high bits under the key
+    # have odd parity, and maps again.
+    @staticmethod
+    def check_query_pass(n, low, key, dtype, seed):
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 1 << (n - low), size=1 << low)
         state = random_state(n, seed)
@@ -422,23 +422,21 @@ class TestFusedPrimitives:
         top = 1 << (n - 1)
         odd = np.array([bin(x & key).count("1") & 1 for x in h])
         expected = state.amplitudes[xor][np.where(odd, index ^ top, index)][xor]
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
-                mock.patch.object(sv, "_CPUS", workers):
-            apply_xor_permutation(state, low, masks, key)
+        apply_xor_permutation(state, low, masks.astype(dtype), key)
         assert np.array_equal(state.amplitudes, expected)
 
     def test_xor_permutation_rejects_bad_masks(self):
         state = zero_state(4)
         with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.zeros(3, dtype=int))
+            apply_xor_permutation(state, 2, np.zeros(3, dtype=int), 0)
         with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.array([0, 1, 2, 4]))
+            apply_xor_permutation(state, 2, np.array([0, 1, 2, 4]), 0)
         with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.array([0, -1, 2, 3]))
+            apply_xor_permutation(state, 2, np.array([0, -1, 2, 3]), 0)
         with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.zeros(4))
+            apply_xor_permutation(state, 2, np.zeros(4), 0)
         with pytest.raises(DomainError):
-            apply_xor_permutation(state, 5, np.zeros(32, dtype=int))
+            apply_xor_permutation(state, 5, np.zeros(32, dtype=int), 0)
         # The key picks bits below the top high qubit, which it flips.
         for low, key in [(2, 2), (2, -1), (4, 0)]:
             with pytest.raises(DomainError, match="parity key"):
@@ -587,13 +585,14 @@ class TestXorWorkers:
         low = layout.item_bits * eta
         rng = np.random.default_rng(eta)
         masks = rng.integers(0, 1 << (layout.total_qubits - low), size=1 << low)
+        key = int(rng.integers(1 << n_items))
         widths = xor_workers(monkeypatch)
         results, shares = {}, {}
         for workers in (1, 2):
             monkeypatch.setattr(sv, "_CPUS", workers)
             widths.clear()
             state = random_state(layout.total_qubits, seed=eta)
-            apply_xor_permutation(state, low, masks)
+            apply_xor_permutation(state, low, masks, key)
             results[workers], shares[workers] = state.amplitudes, list(widths)
         # Two workers divide one worker's block between them.
         assert shares[2] == [shares[1][0] // 2] * 2
@@ -613,11 +612,10 @@ class TestXorWorkers:
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_split_in_small_pieces(self, seed, data):
-        n = data.draw(st.integers(1, 9))
-        low = data.draw(st.integers(0, n))
+        n, low, key = TestFusedPrimitives.draw_query(data, 9)
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 3), \
                 mock.patch.object(sv, "_CPUS", 2):
-            TestFusedPrimitives.check_xor_permutation(n, low, np.int64, seed)
+            TestFusedPrimitives.check_query_pass(n, low, key, np.int64, seed)
 
     def test_split_under_fast_thread_switches(self, monkeypatch):
         # The workers share one queue of blocks.  With pieces of 8
@@ -628,13 +626,13 @@ class TestXorWorkers:
         n, low = 12, 10
         masks = np.random.default_rng(5).integers(0, 1 << (n - low), size=1 << low)
         monkeypatch.setattr(sv, "_CPUS", 1)
-        expected = apply_xor_permutation(random_state(n, seed=5), low, masks)
+        expected = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
         monkeypatch.setattr(sv, "_CPUS", 2)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(20):
-                state = apply_xor_permutation(random_state(n, seed=5), low, masks)
+                state = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
                 assert np.array_equal(state.amplitudes, expected.amplitudes)
         finally:
             sys.setswitchinterval(interval)
@@ -645,7 +643,7 @@ class TestXorWorkers:
         monkeypatch.setattr(sv, "_CPUS", 2)
         widths = xor_workers(monkeypatch)
         masks = np.arange(1 << low) % (1 << (n_qubits - low))
-        apply_xor_permutation(random_state(n_qubits, seed=low), low, masks)
+        apply_xor_permutation(random_state(n_qubits, seed=low), low, masks, 1)
         assert len(widths) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -656,17 +654,18 @@ class TestXorWorkers:
         monkeypatch.setattr(sv, "_CPUS", 2)
         n, low = 18, 9
         masks = np.arange(1 << low)[::-1] % (1 << (n - low))
-        apply_xor_permutation(random_state(n, seed=3), low, masks)
+        key = 0b10110
+        apply_xor_permutation(random_state(n, seed=3), low, masks, key)
         assert sv._xor_pool_pid == os.getpid()
         expected = random_state(n, seed=4)
         with mock.patch.object(sv, "_CPUS", 1):
-            apply_xor_permutation(expected, low, masks)
+            apply_xor_permutation(expected, low, masks, key)
         pid = os.fork()
         if pid == 0:
             code = 1
             try:
                 state = random_state(n, seed=4)
-                apply_xor_permutation(state, low, masks)
+                apply_xor_permutation(state, low, masks, key)
                 exact = np.array_equal(state.amplitudes, expected.amplitudes)
                 code = 0 if exact and sv._xor_pool_pid == os.getpid() else 2
             finally:
@@ -766,30 +765,20 @@ class TestMemoryContract:
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
-    # Each XOR case runs with one worker and with two, several times, so
-    # that two workers' buffers overlap in time in some run.  At low=3 a
-    # block is one column, which two workers cannot share.  The worker
-    # thread is made untraced first: the first split in a process imports
-    # concurrent.futures (about 600 KiB of Python objects), once.
-    @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_xor_permutation(self, state, low, monkeypatch):
-        sv._worker_pool()
-        masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
-        for workers in (1, 2):
-            monkeypatch.setattr(sv, "_CPUS", workers)
-            for _ in range(self.XOR_REPEATS):
-                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
-                assert peak <= self.XOR_BOUND
-
     # The query pass holds a copy of the block beside the gathered one,
     # 40 bytes per amplitude with the index, and swaps step 4's rows
-    # through the copy; its odd rows add 2 bytes per high row.
+    # through the copy; its odd rows add 2 bytes per high row.  Each case
+    # runs with one worker and with two, several times, so that two
+    # workers' buffers overlap in time in some run.  At low=3 a block is
+    # one column, which two workers cannot share.  The worker thread is
+    # made untraced first: the first split in a process imports
+    # concurrent.futures (about 600 KiB of Python objects), once.
     @pytest.mark.parametrize("low", [15, 9, 3])
     def test_query_pass(self, state, low, monkeypatch):
         sv._worker_pool()
         high = 1 << (self.N_QUBITS - low)
         masks = np.arange(1 << low) % high
-        for key in (1, 0x5555 & (high // 2 - 1), high // 2 - 1):
+        for key in (0, 1, 0x5555 & (high // 2 - 1), high // 2 - 1):
             for workers in (1, 2):
                 monkeypatch.setattr(sv, "_CPUS", workers)
                 for _ in range(self.XOR_REPEATS):
@@ -806,7 +795,7 @@ class TestMemoryContract:
         for workers in (1, 2):
             monkeypatch.setattr(sv, "_CPUS", workers)
             for _ in range(self.XOR_REPEATS):
-                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks))
+                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, 0x55))
                 assert peak < state.amplitudes.nbytes
 
 
