@@ -773,12 +773,10 @@ class TestMemoryContract:
     # one column, which two workers cannot share.  The worker thread is
     # made untraced first: the first split in a process imports
     # concurrent.futures (about 600 KiB of Python objects), once.
-    @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_query_pass(self, state, low, monkeypatch):
+    def check_query_pass(self, state, low, keys, monkeypatch):
         sv._worker_pool()
-        high = 1 << (self.N_QUBITS - low)
-        masks = np.arange(1 << low) % high
-        for key in (0, 1, 0x5555 & (high // 2 - 1), high // 2 - 1):
+        masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
+        for key in keys:
             for workers in (1, 2):
                 monkeypatch.setattr(sv, "_CPUS", workers)
                 for _ in range(self.XOR_REPEATS):
@@ -786,6 +784,17 @@ class TestMemoryContract:
                         lambda: apply_xor_permutation(state, low, masks, key)
                     )
                     assert peak <= self.XOR_BOUND
+
+    # Key 0 flips no row: the pass is the XOR permutation and its inverse.
+    @pytest.mark.parametrize("low", [15, 9, 3])
+    def test_xor_permutation(self, state, low, monkeypatch):
+        self.check_query_pass(state, low, (0,), monkeypatch)
+
+    @pytest.mark.parametrize("low", [15, 9, 3])
+    def test_query_pass(self, state, low, monkeypatch):
+        high = 1 << (self.N_QUBITS - low)
+        keys = (1, 0x5555 & (high // 2 - 1), high // 2 - 1)
+        self.check_query_pass(state, low, keys, monkeypatch)
 
     def test_xor_permutation_below_a_small_state(self, monkeypatch):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
