@@ -55,7 +55,6 @@ from .oracle import (
     verify_parity_identity,
 )
 from .statevector import (
-    RegisterLayout,
     StateVector,
     apply_hadamard,
     apply_inversion_about_average,

@@ -88,13 +88,18 @@ def _check_predicate(model: AmplitudeModel, pred: BooleanPredicate) -> None:
         )
 
 
+def _marked(model: AmplitudeModel, pred: BooleanPredicate) -> np.ndarray:
+    """Whether each item is marked (index j-1 holds item j), built from
+    the marks alone.  N entries: call it only once the input is priced."""
+    marked = np.zeros(model.n_items, dtype=bool)
+    marked[np.fromiter(pred.marks, np.int64, pred.marked_count) - 1] = True
+    return marked
+
+
 def per_sample_distribution(model: AmplitudeModel, pred: BooleanPredicate) -> np.ndarray:
     """Measurement probability of each item (index j-1 holds item j)."""
     _check_predicate(model, pred)
-    probs = np.full(model.n_items, model.p_unmarked)
-    for j in pred.marks:
-        probs[j - 1] = model.p_marked
-    return probs
+    return np.where(_marked(model, pred), model.p_marked, model.p_unmarked)
 
 
 def analytic_product_state(
@@ -111,11 +116,8 @@ def analytic_product_state(
     item_bits = model.n_items.bit_length() - 1
     total_qubits = item_bits * n_samples
     sv.check_capacity(total_qubits, 1, "product state", f"{item_bits}*{n_samples}")
-    single = np.array(
-        [model.marked_amp if pred.value(j) else model.unmarked_amp
-         for j in range(1, model.n_items + 1)],
-        dtype=np.complex128,
-    )
+    single = np.where(_marked(model, pred), complex(model.marked_amp),
+                      complex(model.unmarked_amp))
     full = single
     for _ in range(n_samples - 1):
         full = np.kron(full, single)
@@ -268,20 +270,21 @@ def _gauss_legendre(count: int) -> tuple[np.ndarray, np.ndarray]:
     return np.log1p((x - 1.0) / 2.0), weights / 2.0
 
 
-def _vote_win_probability(designated: list[bool], p_designated: float, p_other: float,
-                          n_samples: int, tie_break: TieBreak) -> float:
+def _vote_win_probability(positions: np.ndarray, n_items: int, p_designated: float,
+                          p_other: float, n_samples: int, tie_break: TieBreak) -> float:
     """Probability that the majority winner is one of the designated items.
 
-    designated[j] flags item j+1; designated items have probability
-    p_designated and the others p_other.
+    positions holds the designated items' sorted 0-based indices among
+    n_items; designated items have probability p_designated and the
+    others p_other.
     """
-    count = sum(designated)
+    count = len(positions)
     if count == 0 or p_designated == 0.0:
         return 0.0
     if p_other == 0.0:
         # The others never draw a sample, so they never reach the winner's count.
-        designated = [True] * count
-    n_items, eta = len(designated), n_samples
+        positions, n_items = np.arange(count), count
+    eta = n_samples
     m = np.arange(1, eta + 1)
     degree = eta - m
     log_fact = np.array([math.lgamma(c + 1) for c in range(eta + 1)])
@@ -291,8 +294,7 @@ def _vote_win_probability(designated: list[bool], p_designated: float, p_other: 
     log_weight = log_fact[eta] + m * log_pd - log_fact[m] - degree * u
 
     if tie_break == "lowest_index":
-        positions = [j for j, flag in enumerate(designated) if flag]
-        gaps = np.diff([-1, *positions, n_items]) - 1
+        gaps = np.diff(positions, prepend=-1, append=n_items) - 1
         lt_d, le_d = (_series(log_pd, u, m - 1, log_fact), _series(log_pd, u, m, log_fact))
         lt_o, le_o = (_series(log_po, u, m - 1, log_fact), _series(log_po, u, m, log_fact))
         lt_squares: list[_Rows] = []
@@ -335,11 +337,12 @@ def _exact_vote(model: AmplitudeModel, pred: BooleanPredicate, n_samples: int,
             f"exact computation needs ~{work} cell updates, above the cap of "
             f"{DEFAULT_EXACT_WORK_CAP}; use the Monte Carlo estimator instead"
         )
-    designated = [pred.value(j) == marked_wins for j in range(1, model.n_items + 1)]
+    positions = np.flatnonzero(_marked(model, pred) == marked_wins)
     p_designated, p_other = model.p_marked, model.p_unmarked
     if not marked_wins:
         p_designated, p_other = p_other, p_designated
-    return _vote_win_probability(designated, p_designated, p_other, n_samples, tie_break)
+    return _vote_win_probability(positions, model.n_items, p_designated, p_other, n_samples,
+                                 tie_break)
 
 
 def exact_success_probability(
@@ -466,8 +469,7 @@ def monte_carlo_success_probability(
     # Priced before any N-sized array exists.
     width = _row_width(model.n_items, n_samples)
     sv.check_memory(_BYTES_PER_ENTRY * width, f"a Monte Carlo row of {width} entries")
-    is_marked = np.zeros(model.n_items, dtype=bool)
-    is_marked[[j - 1 for j in pred.marks]] = True
+    is_marked = _marked(model, pred)
     draw = _count_draw(model, is_marked, n_samples)
     chunk = max(1, _CHUNK_ENTRIES // width)
     root = np.random.SeedSequence(seed)

@@ -1,8 +1,8 @@
 """Build and run the single-parity-query search circuit.
 
-The circuit acts on item_bits*n_samples + N + 1 qubits laid out by
-RegisterLayout and proceeds in the following steps (step 1 prepares the
-all-zero state and emits no gates):
+The circuit acts on item_bits*n_samples + N + 1 qubits, mapped by the
+instance (`SearchParameters`), and proceeds in the following steps
+(step 1 prepares the all-zero state and emits no gates):
 
   2a  Hadamard every sample qubit and the ancilla
   2b  phase gate on the ancilla (ancilla becomes |0> - |1>)
@@ -28,7 +28,7 @@ import numpy as np
 from . import statevector as sv
 from .errors import DomainError
 from .oracle import BooleanPredicate, SampleTuple, SearchParameters
-from .statevector import RegisterLayout, StateVector
+from .statevector import StateVector
 
 TieBreak = Literal["lowest_index", "random"]
 
@@ -78,40 +78,35 @@ class CircuitRun:
     intermediates: dict[str, StateVector] | None = None
 
 
-def layout_for(params: SearchParameters) -> RegisterLayout:
-    return RegisterLayout(
-        item_bits=params.item_bits, n_samples=params.n_samples, n_items=params.n_items
-    )
+def layout_for(params: SearchParameters) -> SearchParameters:
+    """The instance itself, which holds its qubit map."""
+    return params
 
 
-def _checked_layout(
-    params: SearchParameters, pred: BooleanPredicate, copies: int
-) -> RegisterLayout:
-    """The instance's layout, once the predicate fits it and `copies` of
-    its state fit the capacity (see `statevector.check_capacity`).  Both
+def _check_instance(params: SearchParameters, pred: BooleanPredicate, copies: int) -> None:
+    """Refuse a predicate that does not fit the instance, or `copies` of
+    its state past the capacity (see `statevector.check_capacity`).  Both
     checks allocate nothing."""
     if pred.size != params.n_items:
         raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
-    layout = layout_for(params)
     sv.check_capacity(
-        layout.total_qubits, copies, "instance",
-        f"{layout.item_bits}*{layout.n_samples}+{layout.n_items}+1",
+        params.total_qubits, copies, "instance",
+        f"{params.item_bits}*{params.n_samples}+{params.n_items}+1",
     )
-    return layout
 
 
-def _occurrence_parity_pass(layout: RegisterLayout, step: str) -> list[GateRecord]:
+def _occurrence_parity_pass(params: SearchParameters, step: str) -> list[GateRecord]:
     records = []
-    for i in range(1, layout.n_samples + 1):
-        controls = layout.sample_qubits(i)
-        for j in range(1, layout.n_items + 1):
+    for i in range(1, params.n_samples + 1):
+        controls = params.sample_qubits(i)
+        for j in range(1, params.n_items + 1):
             records.append(
                 GateRecord(
                     kind="value_controlled_flip",
                     step=step,
                     controls=controls,
                     value=j - 1,
-                    target=layout.incidence_qubit(j),
+                    target=params.incidence_qubit(j),
                 )
             )
     return records
@@ -119,29 +114,29 @@ def _occurrence_parity_pass(layout: RegisterLayout, step: str) -> list[GateRecor
 
 def build_circuit(params: SearchParameters, pred: BooleanPredicate) -> list[GateRecord]:
     """Emit the ordered gate list for one search instance."""
-    layout = _checked_layout(params, pred, copies=0)  # the list holds no state
+    _check_instance(params, pred, copies=0)  # the list holds no state
 
     records: list[GateRecord] = []
-    for q in layout.all_sample_qubits():
+    for q in params.all_sample_qubits():
         records.append(GateRecord(kind="hadamard", step="step2a", target=q))
-    records.append(GateRecord(kind="hadamard", step="step2a", target=layout.ancilla_qubit))
-    records.append(GateRecord(kind="sigma_z", step="step2b", target=layout.ancilla_qubit))
+    records.append(GateRecord(kind="hadamard", step="step2a", target=params.ancilla_qubit))
+    records.append(GateRecord(kind="sigma_z", step="step2b", target=params.ancilla_qubit))
 
-    records.extend(_occurrence_parity_pass(layout, "step3"))
+    records.extend(_occurrence_parity_pass(params, "step3"))
     for j in sorted(pred.marks):
         records.append(
             GateRecord(
                 kind="value_controlled_flip",
                 step="step4",
-                controls=(layout.incidence_qubit(j),),
+                controls=(params.incidence_qubit(j),),
                 value=1,
-                target=layout.ancilla_qubit,
+                target=params.ancilla_qubit,
             )
         )
-    records.extend(_occurrence_parity_pass(layout, "step5"))
+    records.extend(_occurrence_parity_pass(params, "step5"))
 
-    for i in range(1, layout.n_samples + 1):
-        register = layout.sample_qubits(i)
+    for i in range(1, params.n_samples + 1):
+        register = params.sample_qubits(i)
         for q in register:
             records.append(GateRecord(kind="hadamard", step="step6", target=q))
         records.append(
@@ -165,39 +160,39 @@ def apply_record(state: StateVector, record: GateRecord) -> StateVector:
 
 
 @lru_cache(maxsize=8)
-def _occurrence_masks(layout: RegisterLayout) -> np.ndarray:
+def _occurrence_masks(params: SearchParameters) -> np.ndarray:
     """Net incidence flips of steps 3 and 5, by sample-register value.
 
     masks[c] is the XOR over registers i of 1 << digit_i(c): incidence
     qubit j, bit j-1 above the sample qubits, flips once per register
     that holds item j.  Read-only, since every caller shares it.
     """
-    values = np.arange(1 << (layout.item_bits * layout.n_samples))
+    values = np.arange(1 << (params.item_bits * params.n_samples))
     masks = np.zeros_like(values)
-    for i in range(layout.n_samples):
-        masks ^= 1 << ((values >> (i * layout.item_bits)) & (layout.n_items - 1))
+    for i in range(params.n_samples):
+        masks ^= 1 << ((values >> (i * params.item_bits)) & (params.n_items - 1))
     masks.setflags(write=False)
     return masks
 
 
 def _apply_step(
-    state: StateVector, layout: RegisterLayout, pred: BooleanPredicate, step: str
+    state: StateVector, params: SearchParameters, pred: BooleanPredicate, step: str
 ) -> None:
-    """Apply one step, or steps 3-5 as one pass, derived from the layout
+    """Apply one step, or steps 3-5 as one pass, derived from the instance
     and the predicate, as the fused pass where the step has one."""
-    ancilla = layout.ancilla_qubit
+    ancilla = params.ancilla_qubit
     if step == "step2a":
-        sv.apply_hadamards(state, [*layout.all_sample_qubits(), ancilla])
+        sv.apply_hadamards(state, [*params.all_sample_qubits(), ancilla])
     elif step == "step2b":
         sv.apply_sigma_z(state, ancilla)
     elif step == "step3-5":
         # Incidence qubit j is bit j-1 of the high qubits and the ancilla
         # their top bit, so the mask's bits pick step 4's controls.
         sv.apply_xor_permutation(
-            state, layout.item_bits * layout.n_samples, _occurrence_masks(layout), pred.to_mask()
+            state, params.item_bits * params.n_samples, _occurrence_masks(params), pred.to_mask()
         )
     else:
-        sv.apply_register_inversions(state, layout.item_bits, layout.n_samples)
+        sv.apply_register_inversions(state, params.item_bits, params.n_samples)
 
 
 def run_circuit(
@@ -210,7 +205,7 @@ def run_circuit(
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
     cannot hold.  Without it, no gate list is built: each step is derived
-    from the layout and the predicate.  Steps 2a and 6 go through the
+    from the instance and the predicate.  Steps 2a and 6 go through the
     block kernel of `statevector`, as Hadamard blocks and as one
     reflection block I - 2J/N per sample register; it skips the state's
     all-zero pieces, all but incidence row 0 at step 2a and all but the
@@ -222,11 +217,11 @@ def run_circuit(
     check the predicate size and the capacity for the states they keep
     before they allocate.
     """
-    layout = _checked_layout(params, pred, copies=7 if capture else 1)
-    state = sv.zero_state(layout.total_qubits)
+    _check_instance(params, pred, copies=7 if capture else 1)
+    state = sv.zero_state(params.total_qubits)
     if not capture:
         for step in ("step2a", "step2b", "step3-5", "step6"):
-            _apply_step(state, layout, pred, step)
+            _apply_step(state, params, pred, step)
         return CircuitRun(final_state=state)
 
     records = build_circuit(params, pred)
@@ -242,7 +237,7 @@ def run_circuit(
     return CircuitRun(final_state=state, intermediates=intermediates)
 
 
-def _sample_marginal(final_state: StateVector, layout: RegisterLayout) -> np.ndarray:
+def _sample_marginal(final_state: StateVector, params: SearchParameters) -> np.ndarray:
     """Joint probabilities of the sample qubits' values, as
     `marginal_distribution` over all sample qubits gives them.
 
@@ -252,14 +247,14 @@ def _sample_marginal(final_state: StateVector, layout: RegisterLayout) -> np.nda
     column pair then sums to a probability.
     """
     rows = final_state.amplitudes.view(np.float64).reshape(
-        -1, 2 << (layout.item_bits * layout.n_samples)
+        -1, 2 << (params.item_bits * params.n_samples)
     )
     return np.einsum("ij,ij->j", rows, rows).reshape(-1, 2).sum(axis=1)
 
 
 def measure_samples(
     final_state: StateVector,
-    layout: RegisterLayout,
+    params: SearchParameters,
     rng: np.random.Generator | int | None = None,
 ) -> SampleTuple:
     """Draw one item per sample register from its exact marginal.
@@ -268,19 +263,19 @@ def measure_samples(
     marginals reproduce the joint measurement distribution.  One joint
     marginal over all sample qubits is summed down to each register's.
     """
-    if final_state.n_qubits != layout.total_qubits:
+    if final_state.n_qubits != params.total_qubits:
         raise DomainError(
-            f"state has {final_state.n_qubits} qubits, layout expects {layout.total_qubits}"
+            f"state has {final_state.n_qubits} qubits, the instance expects {params.total_qubits}"
         )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    joint = _sample_marginal(final_state, layout).reshape((layout.n_items,) * layout.n_samples)
+    joint = _sample_marginal(final_state, params).reshape((params.n_items,) * params.n_samples)
     values = []
     # Register i is the digit of weight N**(i-1), axis n_samples - i.
-    for axis in reversed(range(layout.n_samples)):
-        marg = joint.sum(axis=tuple(a for a in range(layout.n_samples) if a != axis))
+    for axis in reversed(range(params.n_samples)):
+        marg = joint.sum(axis=tuple(a for a in range(params.n_samples) if a != axis))
         marg = marg / marg.sum()
-        values.append(int(rng.choice(layout.n_items, p=marg)) + 1)
+        values.append(int(rng.choice(params.n_items, p=marg)) + 1)
     return SampleTuple(tuple(values))
 
 
@@ -335,5 +330,5 @@ def run_search(
     """Full pipeline: simulate, measure every register, majority-vote."""
     run = run_circuit(params, pred, capture=False)
     rng = np.random.default_rng(seed)
-    samples = measure_samples(run.final_state, layout_for(params), rng)
+    samples = measure_samples(run.final_state, params, rng)
     return majority_postprocess(samples, pred, tie_break=tie_break, rng=rng)

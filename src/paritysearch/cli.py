@@ -224,17 +224,16 @@ def _simulate_document(values: dict) -> dict:
     tie_break = _TIE_BREAKS[values["tie_break"]]
     seed = _resolve_seed(values)
     params = SearchParameters(n, eta)
-    layout = ci.layout_for(params)
 
     run = ci.run_circuit(params, pred, capture=values["capture"])
     rng = np.random.default_rng(seed)
-    samples = ci.measure_samples(run.final_state, layout, rng)
+    samples = ci.measure_samples(run.final_state, params, rng)
     outcome = ci.majority_postprocess(samples, pred, tie_break=tie_break, rng=rng)
 
     checks: dict = {}
     if values["capture"]:
         after5 = run.intermediates["step5"]
-        incidence = sv.marginal_distribution(after5, layout.incidence_qubits())
+        incidence = sv.marginal_distribution(after5, params.incidence_qubits())
         model = an.amplitudes(n, pred.marked_count)
         product = an.analytic_product_state(model, pred, eta)
         # The expected state is |minus>|0...0>|product>, zero off the
@@ -257,7 +256,7 @@ def _simulate_document(values: dict) -> dict:
         "marked_count": pred.marked_count,
         "seed": seed,
         "tie_break": tie_break,
-        "total_qubits": layout.total_qubits,
+        "total_qubits": params.total_qubits,
     }
     if constant is not None:
         doc_params["schedule_constant"] = constant

@@ -162,12 +162,9 @@ def tally_of_records(
     """Tally an emitted gate list (the cross-check side of predict_tally)."""
     kinds: Counter[str] = Counter()
     by_step: dict[str, Counter[str]] = {}
-    step4_flips = 0
     for record in records:
         kinds[record.kind] += 1
         by_step.setdefault(record.step, Counter())[record.kind] += 1
-        if record.step == "step4" and record.kind == "value_controlled_flip":
-            step4_flips += 1
     hadamards = kinds["hadamard"]
     sigma_z = kinds["sigma_z"]
     phases = kinds["value_controlled_phase"]
@@ -178,7 +175,7 @@ def tally_of_records(
         multi_controlled_phases=phases,
         elementary_total=_weighted_total(
             model, params.item_bits, params.n_samples, params.n_items,
-            step4_flips, hadamards, sigma_z, phases,
+            by_step.get("step4", Counter())["value_controlled_flip"], hadamards, sigma_z, phases,
         ),
         classical_sort_comparisons=sort_comparisons(params.n_samples),
         by_step={step: dict(counts) for step, counts in by_step.items()},

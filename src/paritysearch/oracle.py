@@ -1,9 +1,9 @@
 """Classical model of the search problem.
 
 Items live in {1..N} with N a power of two.  A predicate marks some of
-them; the search instance carries the register count used for sampling.
-The queries defined here are the classical ground truth the quantum
-circuit is checked against:
+them; the search instance carries the register count used for sampling
+and the circuit's qubit map.  The queries defined here are the
+classical ground truth the quantum circuit is checked against:
 
 * single-item query: the value of the predicate on one item,
 * subset-parity query: whether a subset contains an odd number of
@@ -37,16 +37,47 @@ def _check_power_of_two(n_items: int) -> int:
 
 @dataclass(frozen=True)
 class SearchParameters:
-    """A search instance: N items (N = 2**item_bits) and the sample count."""
+    """A search instance, N items (N = 2**item_bits) and the sample count,
+    and its circuit's qubit map on item_bits*n_samples + N + 1 qubits.
+
+    Sample register i (1-based) sits at qubits (i-1)*item_bits .. i*item_bits-1,
+    incidence qubit j (1-based) at item_bits*n_samples + j - 1, and the
+    ancilla is the final qubit.
+    """
 
     n_items: int
     n_samples: int
     item_bits: int = field(init=False)
+    total_qubits: int = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "item_bits", _check_power_of_two(self.n_items))
         if self.n_samples < 1:
             raise DomainError(f"sample count must be >= 1, got {self.n_samples}")
+        object.__setattr__(self, "total_qubits", self.ancilla_qubit + 1)
+
+    def sample_qubits(self, i: int) -> tuple[int, ...]:
+        """Qubits of sample register i, least significant first."""
+        if not 1 <= i <= self.n_samples:
+            raise DomainError(f"register index {i} outside 1..{self.n_samples}")
+        start = (i - 1) * self.item_bits
+        return tuple(range(start, start + self.item_bits))
+
+    def all_sample_qubits(self) -> tuple[int, ...]:
+        return tuple(range(self.item_bits * self.n_samples))
+
+    def incidence_qubit(self, j: int) -> int:
+        if not 1 <= j <= self.n_items:
+            raise DomainError(f"item {j} outside 1..{self.n_items}")
+        return self.item_bits * self.n_samples + j - 1
+
+    def incidence_qubits(self) -> tuple[int, ...]:
+        start = self.item_bits * self.n_samples
+        return tuple(range(start, start + self.n_items))
+
+    @property
+    def ancilla_qubit(self) -> int:
+        return self.item_bits * self.n_samples + self.n_items
 
 
 @dataclass(frozen=True)
@@ -107,12 +138,6 @@ class BooleanPredicate:
         for j in self.marks:
             mask |= 1 << (j - 1)
         return mask
-
-    def mask_hex(self) -> str:
-        return f"{self.to_mask():#x}"
-
-    def to_incidence(self) -> IncidenceVector:
-        return IncidenceVector(tuple(self.value(j) for j in range(1, self.size + 1)))
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,14 @@
 """Minimal dense statevector simulator.
 
-Exactly the primitives the search circuit needs: Hadamard, the (1,-1)
-phase gate, value-conditioned multi-controlled flips and phase flips,
-the inversion-about-average operator, marginal measurement, and state
-comparison modulo global phase.  The uncaptured circuit uses fused
-primitives: a kernel of small real blocks (Hadamards on up to three
-qubits, register inversions) that skips the state's all-zero pieces, and
-the search's query: an XOR pass on the high qubits keyed by the low
-ones, twice around a parity-keyed flip of the top qubit.
+A plain simulator: gates take qubit indices, and no type here knows the
+search instance.  It has the primitives the search circuit needs:
+Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
+flips and phase flips, the inversion-about-average operator, marginal
+measurement, and state comparison modulo global phase.  The uncaptured
+circuit uses fused primitives: a kernel of small real blocks (Hadamards
+on up to three qubits, register inversions) that skips the state's
+all-zero pieces, and an XOR pass on the high qubits keyed by the low
+ones, twice around a parity-keyed flip of the top qubit (the query).
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -29,7 +30,6 @@ from __future__ import annotations
 import math
 import os
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -82,55 +82,6 @@ def qubit_cap() -> int:
     if cap < 1:
         raise DomainError(f"{QUBIT_CAP_ENV_VAR} must be >= 1, got {cap}")
     return cap
-
-
-@dataclass(frozen=True)
-class RegisterLayout:
-    """Qubit map for the search circuit on item_bits*n_samples + N + 1 qubits.
-
-    Sample register i (1-based) sits at qubits (i-1)*item_bits .. i*item_bits-1,
-    incidence qubit j (1-based) at item_bits*n_samples + j - 1, and the
-    ancilla is the final qubit.
-    """
-
-    item_bits: int
-    n_samples: int
-    n_items: int
-    total_qubits: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        if self.item_bits < 1 or self.n_items != 1 << self.item_bits:
-            raise DomainError(
-                f"item count {self.n_items} is not 2**{self.item_bits}"
-            )
-        if self.n_samples < 1:
-            raise DomainError(f"sample count must be >= 1, got {self.n_samples}")
-        object.__setattr__(
-            self, "total_qubits", self.item_bits * self.n_samples + self.n_items + 1
-        )
-
-    def sample_qubits(self, i: int) -> tuple[int, ...]:
-        """Qubits of sample register i, least significant first."""
-        if not 1 <= i <= self.n_samples:
-            raise DomainError(f"register index {i} outside 1..{self.n_samples}")
-        start = (i - 1) * self.item_bits
-        return tuple(range(start, start + self.item_bits))
-
-    def all_sample_qubits(self) -> tuple[int, ...]:
-        return tuple(range(self.item_bits * self.n_samples))
-
-    def incidence_qubit(self, j: int) -> int:
-        if not 1 <= j <= self.n_items:
-            raise DomainError(f"item {j} outside 1..{self.n_items}")
-        return self.item_bits * self.n_samples + j - 1
-
-    def incidence_qubits(self) -> tuple[int, ...]:
-        start = self.item_bits * self.n_samples
-        return tuple(range(start, start + self.n_items))
-
-    @property
-    def ancilla_qubit(self) -> int:
-        return self.item_bits * self.n_samples + self.n_items
 
 
 class StateVector:

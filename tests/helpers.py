@@ -12,7 +12,7 @@ from functools import reduce
 
 import numpy as np
 
-from paritysearch import BooleanPredicate, RegisterLayout
+from paritysearch import BooleanPredicate, SearchParameters
 from paritysearch.statevector import StateVector
 
 
@@ -21,19 +21,19 @@ def product_register_state(single: np.ndarray, n_samples: int) -> np.ndarray:
 
 
 def expected_full_state(
-    layout: RegisterLayout, pred: BooleanPredicate, marked_amp: float, unmarked_amp: float
+    params: SearchParameters, pred: BooleanPredicate, marked_amp: float, unmarked_amp: float
 ) -> StateVector:
     """Product sample registers x zero incidence register x (|0>-|1>) ancilla."""
     single = np.array(
         [marked_amp if pred.value(j) else unmarked_amp for j in range(1, pred.size + 1)],
         dtype=complex,
     )
-    sample_part = product_register_state(single, layout.n_samples)
-    incidence_part = np.zeros(1 << layout.n_items, dtype=complex)
+    sample_part = product_register_state(single, params.n_samples)
+    incidence_part = np.zeros(1 << params.n_items, dtype=complex)
     incidence_part[0] = 1.0
     ancilla_part = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
     full = np.kron(ancilla_part, np.kron(incidence_part, sample_part))
-    return StateVector(layout.total_qubits, full)
+    return StateVector(params.total_qubits, full)
 
 
 def iter_compositions(total: int, parts: int):

@@ -21,7 +21,6 @@ from paritysearch import (
     amplitudes,
     build_circuit,
     exact_success_probability,
-    layout_for,
     monte_carlo_success_probability,
     paper_cost_model,
     predict_tally,
@@ -69,10 +68,10 @@ def test_criterion_2_disentanglement():
         for n in (2, 4):
             for pred in every_predicate(n):
                 for eta in (1, 2, 3):
-                    run = run_circuit(SearchParameters(n, eta), pred, capture=True)
-                    layout = layout_for(SearchParameters(n, eta))
+                    params = SearchParameters(n, eta)
+                    run = run_circuit(params, pred, capture=True)
                     marg = marginal_distribution(
-                        run.intermediates["step5"], layout.incidence_qubits()
+                        run.intermediates["step5"], params.incidence_qubits()
                     )
                     assert marg[0] >= FIDELITY_BOUND
 
@@ -89,7 +88,7 @@ def test_criterion_3_factorization():
                     run = run_circuit(params, pred, capture=True)
                     model = amplitudes(n, pred.marked_count)
                     expected = expected_full_state(
-                        layout_for(params), pred, model.marked_amp, model.unmarked_amp
+                        params, pred, model.marked_amp, model.unmarked_amp
                     )
                     fid = fidelity_mod_phase(run.intermediates["step6"], expected)
                     assert fid >= FIDELITY_BOUND
@@ -125,9 +124,8 @@ def test_criterion_6_certain_success_case():
         pred = BooleanPredicate.from_marks(4, [3])
         params = SearchParameters(4, 3)
         final = run_circuit(params, pred).final_state
-        layout = layout_for(params)
         for i in (1, 2, 3):
-            marg = marginal_distribution(final, layout.sample_qubits(i))
+            marg = marginal_distribution(final, params.sample_qubits(i))
             assert np.allclose(marg, [0, 0, 1, 0], atol=IDENTITY_ATOL)
         for seed in range(100):
             outcome = run_search(params, pred, seed=seed)

@@ -161,13 +161,12 @@ class TestProductState:
     def test_matches_circuit_final_state(self):
         # Cross-module check: the product state this module predicts must
         # agree with the simulated circuit up to a global phase.
-        from paritysearch import SearchParameters, layout_for, run_circuit
+        from paritysearch import SearchParameters, run_circuit
         from paritysearch.statevector import StateVector, fidelity_mod_phase
 
         for n in (2, 4):
             for eta in (1, 2, 3):
                 params = SearchParameters(n, eta)
-                layout = layout_for(params)
                 for mask in range(2**n):
                     pred = BooleanPredicate.from_mask(n, mask)
                     model = amplitudes(n, pred.marked_count)
@@ -176,7 +175,7 @@ class TestProductState:
                     zeros[0] = 1.0
                     minus = np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
                     expected = StateVector(
-                        layout.total_qubits,
+                        params.total_qubits,
                         np.kron(minus, np.kron(zeros, product.amplitudes)),
                     )
                     final = run_circuit(params, pred).final_state
@@ -394,6 +393,24 @@ class TestExactFailureProbability:
             exact_failure_probability(model, pred, 0)
         with pytest.raises(DomainError):
             exact_failure_probability(model, pred, 3, tie_break="first")
+
+    def test_engines_read_marks_not_the_predicate(self, monkeypatch):
+        # Every engine builds its marked items from the marks alone, never
+        # by asking the predicate about each of the N items.
+        model = amplitudes(16, 3)
+        pred = BooleanPredicate.from_marks(16, [2, 7, 11])
+
+        def value(self, item):
+            raise AssertionError(f"predicate read at item {item}")
+
+        monkeypatch.setattr(BooleanPredicate, "value", value)
+        for tie in ("lowest_index", "random"):
+            success = exact_success_probability(model, pred, 8, tie)
+            failure = exact_failure_probability(model, pred, 8, tie)
+            assert abs(success + failure - 1.0) <= 1e-12
+            monte_carlo_success_probability(model, pred, 8, trials=50, seed=1, tie_break=tie)
+        assert math.isclose(per_sample_distribution(model, pred).sum(), 1.0)
+        assert math.isclose(analytic_product_state(model, pred, 2).norm(), 1.0)
 
     def test_golden_documents_hold_rational_values(self):
         golden = Path(__file__).parent / "golden"

@@ -82,13 +82,17 @@ class TestBuildCircuit:
     def test_step4_targets_ancilla_off_marked_incidence(self):
         params = SearchParameters(4, 2)
         pred = BooleanPredicate.from_marks(4, [2, 4])
-        layout = layout_for(params)
         step4 = [r for r in build_circuit(params, pred) if r.step == "step4"]
         assert [r.controls for r in step4] == [
-            (layout.incidence_qubit(2),),
-            (layout.incidence_qubit(4),),
+            (params.incidence_qubit(2),),
+            (params.incidence_qubit(4),),
         ]
-        assert all(r.target == layout.ancilla_qubit and r.value == 1 for r in step4)
+        assert all(r.target == params.ancilla_qubit and r.value == 1 for r in step4)
+
+    def test_layout_for_is_the_instance(self):
+        # The instance holds its qubit map; layout_for is kept for callers.
+        params = SearchParameters(4, 2)
+        assert layout_for(params) is params
 
     def test_predicate_size_mismatch(self):
         with pytest.raises(DomainError):
@@ -133,17 +137,15 @@ class TestRunCircuit:
     def test_incidence_register_resets_after_step5(self):
         for params, pred in small_grid():
             run = run_circuit(params, pred, capture=True)
-            layout = layout_for(params)
-            marg = marginal_distribution(run.intermediates["step5"], layout.incidence_qubits())
+            marg = marginal_distribution(run.intermediates["step5"], params.incidence_qubits())
             assert marg[0] >= 1 - 1e-10
 
     def test_phase_kickback_product_form(self):
         for params, pred in small_grid():
             run = run_circuit(params, pred, capture=True)
-            layout = layout_for(params)
             root = math.sqrt(params.n_items)
             expected = expected_full_state(
-                layout, pred, marked_amp=-1 / root, unmarked_amp=1 / root
+                params, pred, marked_amp=-1 / root, unmarked_amp=1 / root
             )
             fid = fidelity_mod_phase(run.intermediates["step5"], expected)
             assert fid >= 1 - FIDELITY_ATOL
@@ -151,9 +153,8 @@ class TestRunCircuit:
     def test_final_state_factorizes_into_model_amplitudes(self):
         for params, pred in small_grid():
             run = run_circuit(params, pred, capture=True)
-            layout = layout_for(params)
             model = amplitudes(params.n_items, pred.marked_count)
-            expected = expected_full_state(layout, pred, model.marked_amp, model.unmarked_amp)
+            expected = expected_full_state(params, pred, model.marked_amp, model.unmarked_amp)
             fid = fidelity_mod_phase(run.intermediates["step6"], expected)
             assert fid >= 1 - FIDELITY_ATOL
 
@@ -163,7 +164,7 @@ class TestRunCircuit:
         for n, etas in ((2, range(1, 5)), (4, range(1, 4)), (8, range(1, 3))):
             for eta in etas:
                 params = SearchParameters(n, eta)
-                incidence = layout_for(params).incidence_qubits()
+                incidence = params.incidence_qubits()
                 for mask in range(2**n):
                     pred = BooleanPredicate.from_mask(n, mask)
                     fast = run_circuit(params, pred).final_state
@@ -176,7 +177,7 @@ class TestRunCircuit:
     @pytest.mark.parametrize("n, eta", [(2, 16), (4, 6), (8, 3)])
     def test_fused_path_matches_literal_gates_across_pieces(self, n, eta):
         params = SearchParameters(n, eta)
-        incidence = layout_for(params).incidence_qubits()
+        incidence = params.incidence_qubits()
         for t in (0, 1, n // 2, n):
             pred = BooleanPredicate.from_marks(n, range(1, t + 1))
             fast = run_circuit(params, pred).final_state
@@ -193,18 +194,17 @@ class TestRunCircuit:
         n, max_eta = data.draw(st.sampled_from([(2, 4), (4, 2), (8, 1)]))
         eta = data.draw(st.integers(1, max_eta))
         params = SearchParameters(n, eta)
-        layout = layout_for(params)
         records = [r for r in build_circuit(params, BooleanPredicate.from_mask(n, 0))
                    if r.step == "step3"]
         rng = np.random.default_rng(seed)
-        size = 1 << layout.total_qubits
+        size = 1 << params.total_qubits
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-        literal = StateVector(layout.total_qubits, amps.copy())
+        literal = StateVector(params.total_qubits, amps.copy())
         for record in records:
             apply_record(literal, record)
-        masks = _occurrence_masks(layout)
+        masks = _occurrence_masks(params)
         assert not masks.flags.writeable
-        low = layout.item_bits * eta
+        low = params.item_bits * eta
         i = np.arange(size)
         c = i & ((1 << low) - 1)
         assert np.array_equal(literal.amplitudes, amps[((i >> low) ^ masks[c]) << low | c])
@@ -226,7 +226,7 @@ class TestRunCircuit:
         # the seven that capture keeps do not, and nothing is allocated.
         params = SearchParameters(8, 2)
         pred = BooleanPredicate.from_marks(8, [1])
-        state_bytes = 16 << layout_for(params).total_qubits
+        state_bytes = 16 << params.total_qubits
         monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 3 * state_bytes)
         assert run_circuit(params, pred).final_state.amplitudes.nbytes == state_bytes
         tracemalloc.start()
@@ -243,7 +243,7 @@ class TestRunCircuit:
         params = SearchParameters(4, 1)
         pred = BooleanPredicate.from_marks(4, [3])
         run = run_circuit(params, pred)
-        marg = marginal_distribution(run.final_state, layout_for(params).sample_qubits(1))
+        marg = marginal_distribution(run.final_state, params.sample_qubits(1))
         assert np.allclose(marg, [0, 0, 1, 0], atol=NORM_ATOL)
 
     def test_three_bit_registers(self):
@@ -251,13 +251,12 @@ class TestRunCircuit:
         params = SearchParameters(8, 2)  # 3*2 + 8 + 1 = 15 qubits
         pred = BooleanPredicate.from_marks(8, [2, 5, 7])
         run = run_circuit(params, pred, capture=True)
-        layout = layout_for(params)
-        marg = marginal_distribution(run.intermediates["step5"], layout.incidence_qubits())
+        marg = marginal_distribution(run.intermediates["step5"], params.incidence_qubits())
         assert marg[0] >= 1 - FIDELITY_ATOL
         model = amplitudes(8, 3)
-        expected = expected_full_state(layout, pred, model.marked_amp, model.unmarked_amp)
+        expected = expected_full_state(params, pred, model.marked_amp, model.unmarked_amp)
         assert fidelity_mod_phase(run.intermediates["step6"], expected) >= 1 - FIDELITY_ATOL
-        per_item = marginal_distribution(run.final_state, layout.sample_qubits(2))
+        per_item = marginal_distribution(run.final_state, params.sample_qubits(2))
         predicted = [model.p_marked if pred.value(j) else model.p_unmarked for j in range(1, 9)]
         assert np.allclose(per_item, predicted, atol=NORM_ATOL)
 
@@ -288,17 +287,16 @@ class TestQueryPass:
     def literal_and_fused(n, eta, marks, seed, runs):
         params = SearchParameters(n, eta)
         pred = BooleanPredicate(n, marks)
-        layout = layout_for(params)
         rng = np.random.default_rng(seed)
-        size = 1 << layout.total_qubits
-        literal = StateVector(layout.total_qubits, rng.normal(size=size) + 1j * rng.normal(size=size))
+        size = 1 << params.total_qubits
+        literal = StateVector(params.total_qubits, rng.normal(size=size) + 1j * rng.normal(size=size))
         start = literal.copy()
         for record in build_circuit(params, pred):
             if record.step in ("step3", "step4", "step5"):
                 apply_record(literal, record)
         for _ in runs:
             fused = start.copy()
-            _apply_step(fused, layout, pred, "step3-5")
+            _apply_step(fused, params, pred, "step3-5")
             assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
     # Pieces of 8 and 16 amplitudes cut even the smallest state into many
@@ -341,9 +339,8 @@ class TestMeasurement:
         params = SearchParameters(4, 3)
         pred = BooleanPredicate.from_marks(4, [1, 4])
         final = run_circuit(params, pred).final_state
-        layout = layout_for(params)
-        a = measure_samples(final, layout, rng=123)
-        b = measure_samples(final, layout, rng=123)
+        a = measure_samples(final, params, rng=123)
+        b = measure_samples(final, params, rng=123)
         assert a == b
 
     def test_joint_marginal_draws_match_per_register_draws(self):
@@ -353,32 +350,32 @@ class TestMeasurement:
         # different random amplitudes so that their order shows.
         rng = np.random.default_rng(5)
         for n, eta in [(2, 5), (4, 3), (8, 2)]:
-            layout = layout_for(SearchParameters(n, eta))
+            params = SearchParameters(n, eta)
             amps = np.ones(1 << (n + 1), dtype=complex)
             for _ in range(eta):
                 single = rng.normal(size=n) + 1j * rng.normal(size=n)
                 amps = np.kron(amps, single / np.linalg.norm(single))
-            final = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
+            final = StateVector(params.total_qubits, amps / np.linalg.norm(amps))
             for seed in range(10):
                 rng = np.random.default_rng(seed)
                 expected = []
                 for i in range(1, eta + 1):
-                    marg = marginal_distribution(final, layout.sample_qubits(i))
+                    marg = marginal_distribution(final, params.sample_qubits(i))
                     expected.append(int(rng.choice(n, p=marg / marg.sum())) + 1)
-                assert measure_samples(final, layout, rng=seed).values == tuple(expected)
+                assert measure_samples(final, params, rng=seed).values == tuple(expected)
 
     @pytest.mark.parametrize("n, eta", [(n, eta) for n in (2, 4, 8) for eta in (1, 2, 3)])
     def test_two_axis_marginal_matches_tensor_marginal(self, n, eta):
         # On entangled random states, not only the circuit's product states.
-        layout = layout_for(SearchParameters(n, eta))
-        qubits = layout.all_sample_qubits()
+        params = SearchParameters(n, eta)
+        qubits = params.all_sample_qubits()
         rng = np.random.default_rng(n * 10 + eta)
         for _ in range(3):
-            size = 1 << layout.total_qubits
+            size = 1 << params.total_qubits
             amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-            final = StateVector(layout.total_qubits, amps / np.linalg.norm(amps))
+            final = StateVector(params.total_qubits, amps / np.linalg.norm(amps))
             tensor = marginal_distribution(final, qubits)
-            assert np.max(np.abs(_sample_marginal(final, layout) - tensor)) <= 1e-15
+            assert np.max(np.abs(_sample_marginal(final, params) - tensor)) <= 1e-15
             # Fixed seeds draw what the tensor-view marginal would feed rng.choice.
             joint = tensor.reshape((n,) * eta)
             for seed in range(5):
@@ -387,14 +384,14 @@ class TestMeasurement:
                 for axis in reversed(range(eta)):
                     marg = joint.sum(axis=tuple(a for a in range(eta) if a != axis))
                     expected.append(int(draws.choice(n, p=marg / marg.sum())) + 1)
-                assert measure_samples(final, layout, rng=seed).values == tuple(expected)
+                assert measure_samples(final, params, rng=seed).values == tuple(expected)
 
     def test_zero_unmarked_amplitude_forces_marked_samples(self):
         params = SearchParameters(4, 3)
         pred = BooleanPredicate.from_marks(4, [2])
         final = run_circuit(params, pred).final_state
         for seed in range(20):
-            samples = measure_samples(final, layout_for(params), rng=seed)
+            samples = measure_samples(final, params, rng=seed)
             assert all(v == 2 for v in samples)
 
     def test_balanced_two_item_frequencies(self):
@@ -403,11 +400,10 @@ class TestMeasurement:
         params = SearchParameters(2, 4)
         pred = BooleanPredicate.from_marks(2, [1])
         final = run_circuit(params, pred).final_state
-        layout = layout_for(params)
         rng = np.random.default_rng(42)
         draws = []
         for _ in range(250):
-            draws.extend(measure_samples(final, layout, rng=rng).values)
+            draws.extend(measure_samples(final, params, rng=rng).values)
         assert len(draws) == 1000
         marked = sum(1 for v in draws if v == 1)
         assert abs(marked - 500) <= 3 * math.sqrt(1000 * 0.25)
@@ -417,10 +413,9 @@ class TestMeasurement:
             params = SearchParameters(n, eta)
             pred = BooleanPredicate.from_mask(n, mask)
             final = run_circuit(params, pred).final_state
-            layout = layout_for(params)
-            joint = marginal_distribution(final, layout.all_sample_qubits())
+            joint = marginal_distribution(final, params.all_sample_qubits())
             per_register = [
-                marginal_distribution(final, layout.sample_qubits(i))
+                marginal_distribution(final, params.sample_qubits(i))
                 for i in range(1, eta + 1)
             ]
             expected = np.array([1.0])
@@ -435,13 +430,12 @@ class TestMeasurement:
         params = SearchParameters(4, 2)
         pred = BooleanPredicate.from_mask(4, 0b0101)
         final = run_circuit(params, pred).final_state
-        layout = layout_for(params)
 
         def draw(uniforms, sequential):
             state = final.copy()
             values = []
-            for i in range(1, layout.n_samples + 1):
-                qubits = layout.sample_qubits(i)
+            for i in range(1, params.n_samples + 1):
+                qubits = params.sample_qubits(i)
                 marg = marginal_distribution(state, qubits)
                 value = int(np.searchsorted(np.cumsum(marg), uniforms[i - 1], side="right"))
                 values.append(value + 1)
@@ -457,13 +451,13 @@ class TestMeasurement:
 
         rng = np.random.default_rng(7)
         for _ in range(25):
-            uniforms = rng.random(layout.n_samples)
+            uniforms = rng.random(params.n_samples)
             assert draw(uniforms, sequential=True) == draw(uniforms, sequential=False)
 
     def test_state_layout_mismatch(self):
         final = run_circuit(SearchParameters(2, 1), BooleanPredicate.from_marks(2, [])).final_state
         with pytest.raises(DomainError):
-            measure_samples(final, layout_for(SearchParameters(2, 2)))
+            measure_samples(final, SearchParameters(2, 2))
 
 
 class TestMajorityPostprocess:

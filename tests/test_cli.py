@@ -421,12 +421,28 @@ class TestExitContract:
         self.one_line_exit(result, 3)
         assert "above the cap of 24" in result.stderr
 
-    def test_monte_carlo_past_physical_memory(self, runner):
-        # N = 2**40: each chunk row would hold 2**40 entries.  Refused
+    @staticmethod
+    def analytic_in_3_gib(*args):
+        # Under a 3 GiB address space an allocation that should have been
+        # refused fails at once instead of exhausting the machine.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "paritysearch.cli", "analytic", *args],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert proc.returncode == 3, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        return proc.stderr
+
+    def test_monte_carlo_past_physical_memory(self):
+        # N = 2**40: the exact engine meets its work cap, and each Monte
+        # Carlo chunk row would hold 2**40 entries.  Both are refused
         # before any N-sized array exists, so at once.
-        result = runner.invoke(main, ["analytic", "--n", str(2**40), "--t", "1", "--trials", "2"])
-        self.one_line_exit(result, 3)
-        assert "physical memory" in result.stderr
+        exact = self.analytic_in_3_gib("--n", str(2**40), "--t", "1")
+        assert "pass --trials" in exact
+        assert "physical memory" in self.analytic_in_3_gib("--n", str(2**40), "--t", "1",
+                                                           "--trials", "2")
 
     def test_mask_reads_only_its_own_bits(self):
         # A bitmask on N = 2**40 is read bit by bit up to its highest set
@@ -445,18 +461,8 @@ class TestExitContract:
 
     @pytest.mark.parametrize("trials", [[], ["--trials", "2"]], ids=["exact", "monte-carlo"])
     def test_t_is_priced_before_its_marks_are_built(self, trials):
-        # 2**33 marks would take hundreds of GiB.  Under a 3 GiB address
-        # space a regression fails at once instead of exhausting the machine.
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        limit = 3 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "paritysearch.cli", "analytic", "--n", str(2**34),
-             "--t", str(2**33), *trials],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
-            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
-        assert proc.returncode == 3, proc.stderr
-        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
-        assert "marked set" in proc.stderr
+        # 2**33 marks would take hundreds of GiB.
+        assert "marked set" in self.analytic_in_3_gib("--n", str(2**34), "--t", str(2**33), *trials)
 
     def test_marked_set_is_priced_against_the_machine(self, runner, monkeypatch):
         # 512 marks, priced at 48 KiB, fit any machine but not one of 16 KiB.

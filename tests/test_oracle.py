@@ -36,6 +36,27 @@ class TestSearchParameters:
         with pytest.raises(DomainError):
             SearchParameters(4, 0)
 
+    def test_regions_partition_qubits(self):
+        params = SearchParameters(4, 3)
+        assert params.total_qubits == 11
+        seen = []
+        for i in range(1, 4):
+            seen.extend(params.sample_qubits(i))
+        seen.extend(params.incidence_qubits())
+        seen.append(params.ancilla_qubit)
+        assert sorted(seen) == list(range(11))
+
+    def test_accessor_ranges(self):
+        params = SearchParameters(2, 2)
+        assert params.sample_qubits(1) == (0,)
+        assert params.sample_qubits(2) == (1,)
+        assert params.incidence_qubit(1) == 2
+        assert params.ancilla_qubit == 4
+        with pytest.raises(DomainError):
+            params.sample_qubits(3)
+        with pytest.raises(DomainError):
+            params.incidence_qubit(0)
+
 
 class TestBooleanPredicate:
     def test_single_item_query(self):
@@ -62,7 +83,7 @@ class TestBooleanPredicate:
         pred = BooleanPredicate.from_marks(4, [2, 3])
         assert pred.to_mask() == 0b0110
         assert BooleanPredicate.from_mask(4, 0b0110) == pred
-        assert BooleanPredicate.from_text(4, mask_hex=pred.mask_hex()) == pred
+        assert BooleanPredicate.from_text(4, mask_hex=f"{pred.to_mask():#x}") == pred
 
     def test_text_list_parsing(self):
         assert BooleanPredicate.from_text(4, "2, 3").marks == frozenset({2, 3})

@@ -20,7 +20,6 @@ from paritysearch import (
     BooleanPredicate,
     CapacityError,
     DomainError,
-    RegisterLayout,
     SearchParameters,
     StateVector,
     amplitudes,
@@ -55,44 +54,15 @@ def random_state(n_qubits: int, seed: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-class TestLayout:
-    def test_regions_partition_qubits(self):
-        layout = RegisterLayout(item_bits=2, n_samples=3, n_items=4)
-        assert layout.total_qubits == 11
-        seen = []
-        for i in range(1, 4):
-            seen.extend(layout.sample_qubits(i))
-        seen.extend(layout.incidence_qubits())
-        seen.append(layout.ancilla_qubit)
-        assert sorted(seen) == list(range(11))
-
-    def test_accessor_ranges(self):
-        layout = RegisterLayout(item_bits=1, n_samples=2, n_items=2)
-        assert layout.sample_qubits(1) == (0,)
-        assert layout.sample_qubits(2) == (1,)
-        assert layout.incidence_qubit(1) == 2
-        assert layout.ancilla_qubit == 4
-        with pytest.raises(DomainError):
-            layout.sample_qubits(3)
-        with pytest.raises(DomainError):
-            layout.incidence_qubit(0)
-
-    def test_inconsistent_sizes_rejected(self):
-        with pytest.raises(DomainError):
-            RegisterLayout(item_bits=2, n_samples=1, n_items=8)
-
-
 class TestZeroState:
     def test_initial_amplitudes(self):
-        layout = RegisterLayout(item_bits=1, n_samples=2, n_items=2)
-        state = zero_state(layout.total_qubits)
+        state = zero_state(SearchParameters(2, 2).total_qubits)
         assert state.amplitudes[0] == 1.0
         assert np.count_nonzero(state.amplitudes) == 1
         assert state.amplitudes.shape == (32,)
 
     def test_dimension(self):
-        layout = RegisterLayout(item_bits=2, n_samples=1, n_items=4)
-        assert zero_state(layout.total_qubits).amplitudes.shape == (128,)
+        assert zero_state(SearchParameters(4, 1).total_qubits).amplitudes.shape == (128,)
 
     def test_capacity(self, monkeypatch):
         with pytest.raises(CapacityError):
@@ -581,17 +551,17 @@ class TestXorWorkers:
 
     @pytest.mark.parametrize("n_items, eta", LAYOUTS)
     def test_split_is_exact(self, n_items, eta, monkeypatch):
-        layout = RegisterLayout(n_items.bit_length() - 1, eta, n_items)
-        low = layout.item_bits * eta
+        params = SearchParameters(n_items, eta)
+        low = params.item_bits * eta
         rng = np.random.default_rng(eta)
-        masks = rng.integers(0, 1 << (layout.total_qubits - low), size=1 << low)
+        masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
         key = int(rng.integers(1 << n_items))
         widths = xor_workers(monkeypatch)
         results, shares = {}, {}
         for workers in (1, 2):
             monkeypatch.setattr(sv, "_CPUS", workers)
             widths.clear()
-            state = random_state(layout.total_qubits, seed=eta)
+            state = random_state(params.total_qubits, seed=eta)
             apply_xor_permutation(state, low, masks, key)
             results[workers], shares[workers] = state.amplitudes, list(widths)
         # Two workers divide one worker's block between them.
