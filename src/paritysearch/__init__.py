@@ -22,7 +22,6 @@ from .circuit import (
     GateRecord,
     SearchOutcome,
     build_circuit,
-    gate_trace,
     layout_for,
     majority_postprocess,
     measure_samples,

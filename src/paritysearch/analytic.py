@@ -487,9 +487,11 @@ def monte_carlo_success_probability(
 
 
 def scheduled_sample_count(n_items: int, constant_c: float) -> int:
-    """Sample-count schedule ceil(c * N * log2(N)^2)."""
-    _check_power_of_two(n_items)
+    """Sample-count schedule ceil(c * N * log2(N)^2), refused past the largest float."""
+    nu = _check_power_of_two(n_items)
     if not 0 < constant_c < math.inf:  # NaN fails both
         raise DomainError(f"schedule constant must be finite and > 0, got {constant_c}")
-    log = math.log2(n_items)
-    return math.ceil(constant_c * n_items * log * log)
+    samples = constant_c * n_items * nu * nu
+    if samples == math.inf:
+        raise DomainError(f"c*N*log2(N)^2 overflows a float at c = {constant_c}, N = 2**{nu}")
+    return math.ceil(samples)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .statevector import StateVector
 
 TieBreak = Literal["lowest_index", "random"]
 
-STEP_ORDER = ("step2a", "step2b", "step3", "step4", "step5", "step6")
+_BYTES_PER_RECORD = 160  # a GateRecord and its list slot, 120-157 B by tracemalloc
 
 
 @dataclass(frozen=True)
@@ -44,21 +44,6 @@ class GateRecord:
     controls: tuple[int, ...] = ()
     value: int | None = None
     target: int | None = None
-
-    def trace_line(self) -> str:
-        parts = [self.step, self.kind]
-        if self.controls:
-            parts.append("controls=" + ",".join(str(q) for q in self.controls))
-        if self.value is not None:
-            parts.append(f"value={self.value}")
-        if self.target is not None:
-            parts.append(f"target={self.target}")
-        return " ".join(parts)
-
-
-def gate_trace(records: Iterable[GateRecord]) -> str:
-    """Line-oriented text form of a gate list, one record per line."""
-    return "\n".join(r.trace_line() for r in records)
 
 
 @dataclass(frozen=True)
@@ -113,8 +98,11 @@ def _occurrence_parity_pass(params: SearchParameters, step: str) -> list[GateRec
 
 
 def build_circuit(params: SearchParameters, pred: BooleanPredicate) -> list[GateRecord]:
-    """Emit the ordered gate list for one search instance."""
+    """Emit the ordered gate list for one search instance, priced before it is built."""
     _check_instance(params, pred, copies=0)  # the list holds no state
+    nu, eta, n = params.item_bits, params.n_samples, params.n_items
+    count = eta * (3 * nu + 2 * n + 1) + pred.marked_count + 2
+    sv.check_memory(count * _BYTES_PER_RECORD, f"a gate list of {count} records")
 
     records: list[GateRecord] = []
     for q in params.all_sample_qubits():
@@ -224,16 +212,17 @@ def run_circuit(
             _apply_step(state, params, pred, step)
         return CircuitRun(final_state=state)
 
-    records = build_circuit(params, pred)
+    # Records come grouped by step, in order: snapshot each step as the next
+    # one's begin (2a and 2b share one; step 4 gets one even with no records).
     intermediates = {"step1": state.copy()}
-    snapshot_after = {"step2b": "step2", "step3": "step3", "step4": "step4",
-                      "step5": "step5", "step6": "step6"}
-    for step in STEP_ORDER:
-        for record in records:
-            if record.step == step:
-                apply_record(state, record)
-        if step in snapshot_after:
-            intermediates[snapshot_after[step]] = state.copy()
+    steps = iter(("step2", "step3", "step4", "step5", "step6"))
+    step = next(steps)
+    for record in build_circuit(params, pred):
+        while record.step.rstrip("ab") != step:
+            intermediates[step] = state.copy()
+            step = next(steps)
+        apply_record(state, record)
+    intermediates[step] = state.copy()
     return CircuitRun(final_state=state, intermediates=intermediates)
 
 

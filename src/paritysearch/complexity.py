@@ -1,9 +1,10 @@
 """Gate-count accounting under explicit cost models.
 
-Raw per-category counts follow the emitted circuit exactly.  The
-weighted total depends on a cost model: a fixed constant for decomposing
-an n-controlled gate into elementary two-qubit gates, and which
-population of occurrence-parity flips is counted.  Two models ship:
+A tally is its per-step table of gate counts, and its totals are the
+table's sums.  The weighted total depends on a cost model: a fixed
+constant for decomposing an n-controlled gate into elementary two-qubit
+gates, and which population of occurrence-parity flips is counted.  Two
+models ship:
 
 * ``paper``        - counts 2*n_samples conditioned flips for the two
                      occurrence-parity passes, the reading under which
@@ -80,7 +81,7 @@ def cost_model_by_name(name: str) -> CostModel:
 
 @dataclass(frozen=True)
 class GateTally:
-    """Per-category gate counts plus the model-weighted elementary total."""
+    """Per-category gate counts, the sums of `by_step`, and the model-weighted total."""
 
     hadamards: int
     sigma_z: int
@@ -92,30 +93,35 @@ class GateTally:
 
 
 def sort_comparisons(n_samples: int) -> int:
-    """ceil(n * log2 n) comparisons to sort the sample list."""
-    if n_samples < 1:
-        raise DomainError(f"sample count must be >= 1, got {n_samples}")
+    """ceil(n * log2 n) comparisons to sort the sample list, for n below
+    2**1014, past which n * log2 n overflows a float."""
+    if not 1 <= n_samples < 2**1014:
+        raise DomainError(f"sample count must be >= 1 and below 2**1014, got {n_samples}")
     return math.ceil(n_samples * math.log2(n_samples))
 
 
-def _weighted_total(
-    model: CostModel,
-    item_bits: int,
-    n_samples: int,
-    n_items: int,
-    marked_count: int,
-    hadamards: int,
-    sigma_z: int,
-    phases: int,
-) -> int:
-    flips35 = model.counted_parity_flips(n_samples, n_items)
-    per_flip = model.cost_of_multi_controlled(item_bits)
-    return (
-        hadamards
-        + sigma_z
-        + flips35 * per_flip
-        + marked_count * model.cost_of_multi_controlled(1)
-        + phases * per_flip
+def _tally(
+    by_step: dict[str, dict[str, int]], params: SearchParameters, model: CostModel
+) -> GateTally:
+    """Each kind summed over the steps of `by_step`, and the model's total."""
+    kinds: Counter[str] = Counter()
+    for counts in by_step.values():
+        kinds.update(counts)
+    per_flip = model.cost_of_multi_controlled(params.item_bits)
+    parity_flips = model.counted_parity_flips(params.n_samples, params.n_items)
+    step4_flips = by_step.get("step4", {}).get("value_controlled_flip", 0)
+    return GateTally(
+        hadamards=kinds["hadamard"],
+        sigma_z=kinds["sigma_z"],
+        multi_controlled_flips=kinds["value_controlled_flip"],
+        multi_controlled_phases=kinds["value_controlled_phase"],
+        elementary_total=(
+            kinds["hadamard"] + kinds["sigma_z"]
+            + (parity_flips + kinds["value_controlled_phase"]) * per_flip
+            + step4_flips * model.cost_of_multi_controlled(1)
+        ),
+        classical_sort_comparisons=sort_comparisons(params.n_samples),
+        by_step=by_step,
     )
 
 
@@ -132,54 +138,26 @@ def predict_tally(
     if pred.size != params.n_items:
         raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
     nu, eta, n = params.item_bits, params.n_samples, params.n_items
-    t = pred.marked_count
-    hadamards = 3 * nu * eta + 1
-    sigma_z = 1
-    flips = 2 * eta * n + t
-    phases = eta
     by_step = {
         "step2a": {"hadamard": nu * eta + 1},
         "step2b": {"sigma_z": 1},
         "step3": {"value_controlled_flip": eta * n},
-        "step4": {"value_controlled_flip": t},
+        "step4": {"value_controlled_flip": pred.marked_count},
         "step5": {"value_controlled_flip": eta * n},
         "step6": {"hadamard": 2 * nu * eta, "value_controlled_phase": eta},
     }
-    return GateTally(
-        hadamards=hadamards,
-        sigma_z=sigma_z,
-        multi_controlled_flips=flips,
-        multi_controlled_phases=phases,
-        elementary_total=_weighted_total(model, nu, eta, n, t, hadamards, sigma_z, phases),
-        classical_sort_comparisons=sort_comparisons(eta),
-        by_step=by_step,
-    )
+    return _tally(by_step, params, model)
 
 
 def tally_of_records(
     records: Iterable[GateRecord], params: SearchParameters, model: CostModel
 ) -> GateTally:
     """Tally an emitted gate list (the cross-check side of predict_tally)."""
-    kinds: Counter[str] = Counter()
-    by_step: dict[str, Counter[str]] = {}
+    by_step: dict[str, dict[str, int]] = {}
     for record in records:
-        kinds[record.kind] += 1
-        by_step.setdefault(record.step, Counter())[record.kind] += 1
-    hadamards = kinds["hadamard"]
-    sigma_z = kinds["sigma_z"]
-    phases = kinds["value_controlled_phase"]
-    return GateTally(
-        hadamards=hadamards,
-        sigma_z=sigma_z,
-        multi_controlled_flips=kinds["value_controlled_flip"],
-        multi_controlled_phases=phases,
-        elementary_total=_weighted_total(
-            model, params.item_bits, params.n_samples, params.n_items,
-            by_step.get("step4", Counter())["value_controlled_flip"], hadamards, sigma_z, phases,
-        ),
-        classical_sort_comparisons=sort_comparisons(params.n_samples),
-        by_step={step: dict(counts) for step, counts in by_step.items()},
-    )
+        counts = by_step.setdefault(record.step, {})
+        counts[record.kind] = counts.get(record.kind, 0) + 1
+    return _tally(by_step, params, model)
 
 
 @dataclass(frozen=True)
@@ -204,6 +182,7 @@ class AsymptoticReport:
 def asymptotic_report(n_items: int, constant_c: float) -> AsymptoticReport:
     nu = _check_power_of_two(n_items)
     eta = scheduled_sample_count(n_items, constant_c)
+    sort_comparisons(eta)  # refuses an eta whose eta * log2(eta) overflows
     return AsymptoticReport(
         n_items=n_items,
         schedule_constant=constant_c,

@@ -29,9 +29,11 @@ DEFAULT_ENUMERATION_CAP = 2**20
 
 
 def _check_power_of_two(n_items: int) -> int:
-    """Return log2(n_items), raising DomainError unless n_items = 2**k, k >= 1."""
+    """Return log2(n_items), raising DomainError unless n_items = 2**k, 1 <= k <= 1023."""
     if n_items < 2 or n_items & (n_items - 1):
         raise DomainError(f"item count must be a power of two >= 2, got {n_items}")
+    if n_items.bit_length() > 1024:  # past the largest float
+        raise DomainError(f"item count 2**{n_items.bit_length() - 1} is above 2**1023")
     return n_items.bit_length() - 1
 
 

@@ -114,13 +114,18 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_memory(need: int, what: str) -> None:
-    """Refuse `need` bytes for `what` past physical memory: the one price
-    of an input's bytes, for states, Monte Carlo rows and marked sets."""
+def check_memory(need: int, what: str, shift: int = 0) -> None:
+    """Refuse need << shift bytes for `what` past physical memory: the one
+    price of an input's bytes (states, gate lists, Monte Carlo rows, marked
+    sets).  No integer longer than memory's bit length is built, and a
+    size of any magnitude is stated in a few characters."""
     have = physical_memory_bytes()
-    if have is not None and need > have:
-        raise CapacityError(f"{what}: {need / 2**30:.1f} GiB, more than the "
-                            f"{have / 2**30:.1f} GiB of physical memory")
+    bits = need.bit_length() + shift
+    if have is None or not need or bits <= have.bit_length() and need << shift <= have:
+        return
+    size = f"{(need << shift) / 2**30:.1f} GiB" if bits <= 64 else (
+        f"2**{math.log2(need) + shift:.6g} B")
+    raise CapacityError(f"{what}: {size}, more than the {have / 2**30:.1f} GiB of physical memory")
 
 
 def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: str = "") -> None:
@@ -132,7 +137,7 @@ def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: s
     if n_qubits > cap:
         raise CapacityError(f"{needs}, above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})")
     # 16 B per amplitude
-    check_memory((copies << n_qubits) * 16, f"{needs}, {copies} state{'s' if copies > 1 else ''}")
+    check_memory(copies * 16, f"{needs}, {copies} state{'s' if copies > 1 else ''}", n_qubits)
 
 
 def zero_state(n_qubits: int) -> StateVector:

@@ -626,3 +626,9 @@ class TestSampleSchedule:
             scheduled_sample_count(3, 1.0)
         with pytest.raises(DomainError):
             scheduled_sample_count(4, 0.0)
+
+    def test_schedule_past_the_largest_float(self):
+        # 1.6e307 samples at N=4 and c=1e306; at c=1e308 they overflow.
+        assert scheduled_sample_count(4, 1e306) == math.ceil(1e306 * 4 * 4)
+        with pytest.raises(DomainError, match=r"overflows a float at c = 1e\+308, N = 2\*\*2"):
+            scheduled_sample_count(4, 1e308)

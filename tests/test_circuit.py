@@ -19,7 +19,6 @@ from paritysearch import (
     SearchParameters,
     amplitudes,
     build_circuit,
-    gate_trace,
     layout_for,
     majority_postprocess,
     measure_samples,
@@ -103,14 +102,13 @@ class TestBuildCircuit:
         with pytest.raises(CapacityError, match="53"):
             build_circuit(params, BooleanPredicate.from_marks(32, [1]))
 
-    def test_trace_lines(self):
-        params = SearchParameters(2, 1)
-        records = build_circuit(params, BooleanPredicate.from_marks(2, [2]))
-        trace = gate_trace(records)
-        lines = trace.splitlines()
-        assert len(lines) == len(records)
-        assert lines[0] == "step2a hadamard target=0"
-        assert any(line.startswith("step4 value_controlled_flip controls=") for line in lines)
+    def test_records_come_grouped_by_step_in_order(self):
+        # The captured run snapshots each step in one walk over the list.
+        order = ["step2a", "step2b", "step3", "step4", "step5", "step6"]
+        for params, pred in small_grid():
+            steps = [r.step for r in build_circuit(params, pred)]
+            runs = [s for i, s in enumerate(steps) if i == 0 or steps[i - 1] != s]
+            assert runs == [s for s in order if s != "step4" or pred.marked_count]
 
 
 class TestRunCircuit:
@@ -129,6 +127,14 @@ class TestRunCircuit:
         assert sorted(run.intermediates) == [f"step{i}" for i in range(1, 7)]
         for state in run.intermediates.values():
             assert abs(state.norm() - 1) < NORM_ATOL
+
+    @pytest.mark.parametrize("n", [2, 4, 8])
+    def test_capture_with_nothing_marked_keeps_every_snapshot(self, n):
+        # Step 4 emits no records, yet its snapshot is there and equals step 3's.
+        run = run_circuit(SearchParameters(n, 1), BooleanPredicate.from_marks(n, []), capture=True)
+        assert list(run.intermediates) == [f"step{i}" for i in range(1, 7)]
+        assert np.array_equal(run.intermediates["step4"].amplitudes,
+                              run.intermediates["step3"].amplitudes)
 
     def test_capture_off_by_default(self):
         run = run_circuit(SearchParameters(2, 1), BooleanPredicate.from_marks(2, []))

@@ -422,15 +422,22 @@ class TestExitContract:
         assert "above the cap of 24" in result.stderr
 
     @staticmethod
-    def analytic_in_3_gib(*args):
+    def cli_in_3_gib(*args, qubit_cap=None):
         # Under a 3 GiB address space an allocation that should have been
         # refused fails at once instead of exhausting the machine.
         src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        if qubit_cap is not None:
+            env["PARITYSEARCH_QUBIT_CAP"] = str(qubit_cap)
         limit = 3 << 30
-        proc = subprocess.run(
-            [sys.executable, "-m", "paritysearch.cli", "analytic", *args],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=10,
+        return subprocess.run(
+            [sys.executable, "-m", "paritysearch.cli", *args],
+            capture_output=True, text=True, env=env, timeout=10,
             preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+
+    @classmethod
+    def refused_in_3_gib(cls, *args, qubit_cap=None):
+        proc = cls.cli_in_3_gib(*args, qubit_cap=qubit_cap)
         assert proc.returncode == 3, proc.stderr
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
         return proc.stderr
@@ -439,10 +446,50 @@ class TestExitContract:
         # N = 2**40: the exact engine meets its work cap, and each Monte
         # Carlo chunk row would hold 2**40 entries.  Both are refused
         # before any N-sized array exists, so at once.
-        exact = self.analytic_in_3_gib("--n", str(2**40), "--t", "1")
+        exact = self.refused_in_3_gib("analytic", "--n", str(2**40), "--t", "1")
         assert "pass --trials" in exact
-        assert "physical memory" in self.analytic_in_3_gib("--n", str(2**40), "--t", "1",
-                                                           "--trials", "2")
+        assert "physical memory" in self.refused_in_3_gib(
+            "analytic", "--n", str(2**40), "--t", "1", "--trials", "2")
+
+    @pytest.mark.parametrize("args", [
+        ["analytic", "--n", str(2**1100), "--t", "1", "--eta", "2"],
+        ["gates", "--n", str(2**1100), "--t", "1", "--eta", "1"],
+        ["gates", "--n", "4", "--schedule-c", "1e306", "--t", "1"],
+        ["gates", "--n", str(2**1000), "--schedule-c", "1"],
+        ["gates", "--n", str(2**1000), "--t", "1", "--eta", "1"],
+        ["analytic", "--n", str(2**1020), "--t", "1", "--schedule-c", "1", "--trials", "2"],
+    ], ids=["analytic-n", "gates-n", "gates-c", "gates-n-c", "gates-n-asymptotic", "analytic-n-c"])
+    def test_no_float_overflows(self, runner, args):
+        # N past 2**1023, c*N*log2(N)^2 or eta*log2(eta) past the largest
+        # float: each is refused where the float would be formed.
+        self.one_line_exit(runner.invoke(main, args), 2)
+
+    @pytest.mark.parametrize("eta, size", [("1000", "2**2009 B"), ("400", "2**809 B")])
+    def test_raised_cap_prices_a_state_of_any_size(self, eta, size):
+        stderr = self.refused_in_3_gib("simulate", "--n", "4", "--eta", eta, "--marks", "1",
+                                       qubit_cap=5000)
+        assert f": {size}, more than the" in stderr
+
+    def test_raised_cap_builds_no_size_past_memory(self):
+        # About 2e32 qubits under a cap of 10**35: 2**(2e32) is never built.
+        stderr = self.refused_in_3_gib("simulate", "--n", "8", "--marks", "1",
+                                       "--schedule-c", "1e30", qubit_cap=10**35)
+        assert "2**2.16e+32 B, more than the" in stderr
+
+    def test_gate_list_is_priced_before_it_is_built(self):
+        # 268,500,993 qubits pass a cap of 10**9, but the list's 2.2e12
+        # records (350 TB) fit no machine: the cross-check is skipped, at once.
+        proc = self.cli_in_3_gib("gates", "--n", "65536", "--schedule-c", "1", "--t", "1",
+                                 qubit_cap=10**9)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["checks"]["gate_list_cross_check"] == "skipped_capacity"
+
+    def test_gate_list_is_priced_against_the_machine(self, runner, monkeypatch):
+        # 48 records, priced at 7.5 KiB, fit any machine but not one of 1 KiB.
+        args = ["gates", "--n", "4", "--eta", "3", "--marks", "2"]
+        assert invoke_json(runner, args)["checks"]["gate_list_cross_check"] == "pass"
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: 1 << 10)
+        assert invoke_json(runner, args)["checks"]["gate_list_cross_check"] == "skipped_capacity"
 
     def test_mask_reads_only_its_own_bits(self):
         # A bitmask on N = 2**40 is read bit by bit up to its highest set
@@ -462,7 +509,7 @@ class TestExitContract:
     @pytest.mark.parametrize("trials", [[], ["--trials", "2"]], ids=["exact", "monte-carlo"])
     def test_t_is_priced_before_its_marks_are_built(self, trials):
         # 2**33 marks would take hundreds of GiB.
-        assert "marked set" in self.analytic_in_3_gib("--n", str(2**34), "--t", str(2**33), *trials)
+        assert "marked set" in self.refused_in_3_gib("analytic", "--n", str(2**34), "--t", str(2**33), *trials)
 
     def test_marked_set_is_priced_against_the_machine(self, runner, monkeypatch):
         # 512 marks, priced at 48 KiB, fit any machine but not one of 16 KiB.

@@ -52,6 +52,11 @@ class TestPredictTally:
         with pytest.raises(DomainError):
             sort_comparisons(0)
 
+    def test_sort_comparisons_stay_below_the_largest_float(self):
+        assert sort_comparisons(2**1014 - 1) > 2**1023
+        with pytest.raises(DomainError, match=r"below 2\*\*1014"):
+            sort_comparisons(2**1014)
+
     def test_matches_emitted_gate_list_exactly(self):
         # Exhaustive over item bits <= 2, samples <= 3, every predicate.
         model = paper_cost_model()

@@ -32,6 +32,11 @@ class TestSearchParameters:
         with pytest.raises(DomainError):
             SearchParameters(n, 1)
 
+    def test_item_count_fits_a_float(self):
+        assert SearchParameters(2**1023, 1).item_bits == 1023
+        with pytest.raises(DomainError, match=r"2\*\*1024 is above 2\*\*1023"):
+            SearchParameters(2**1024, 1)
+
     def test_rejects_zero_samples(self):
         with pytest.raises(DomainError):
             SearchParameters(4, 0)

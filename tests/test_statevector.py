@@ -86,20 +86,22 @@ class TestZeroState:
 
 # Every point that sizes an allocation by qubits, on one instance of
 # 2*3+4+1 = 11 qubits (N=4, eta=3), whose product state has 2*3 = 6:
-# (qubits, states kept, call).  A gate list keeps no state.
+# (qubits, states kept, bytes of a gate list built, call).  A gate list
+# keeps no state, but its 48 records are priced at 160 B each; capture's
+# seven states cost more than the list it replays.
 _INSTANCE = (SearchParameters(4, 3), BooleanPredicate.from_marks(4, [2]))
 _REFUSAL_POINTS = {
-    "zero_state": (11, 1, lambda: zero_state(11)),
-    "build_circuit": (11, 0, lambda: build_circuit(*_INSTANCE)),
-    "capture": (11, 7, lambda: run_circuit(*_INSTANCE, capture=True)),
-    "product_state": (6, 1, lambda: analytic_product_state(amplitudes(4, 1), _INSTANCE[1], 3)),
+    "zero_state": (11, 1, 0, lambda: zero_state(11)),
+    "build_circuit": (11, 0, 48 * 160, lambda: build_circuit(*_INSTANCE)),
+    "capture": (11, 7, 0, lambda: run_circuit(*_INSTANCE, capture=True)),
+    "product_state": (6, 1, 0, lambda: analytic_product_state(amplitudes(4, 1), _INSTANCE[1], 3)),
 }
 
 
 class TestCapacity:
     @pytest.mark.parametrize("point", sorted(_REFUSAL_POINTS))
     def test_refusal_points(self, point, monkeypatch):
-        qubits, kept, call = _REFUSAL_POINTS[point]
+        qubits, kept, list_bytes, call = _REFUSAL_POINTS[point]
         monkeypatch.setenv("PARITYSEARCH_QUBIT_CAP", str(qubits - 1))
         with pytest.raises(CapacityError, match=f" {qubits} qubits, .*PARITYSEARCH_QUBIT_CAP"):
             call()
@@ -113,8 +115,20 @@ class TestCapacity:
                 call()
         else:
             call()
-        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: kept * state_bytes)
+        if list_bytes:
+            monkeypatch.setattr(sv, "physical_memory_bytes", lambda: list_bytes - 1)
+            with pytest.raises(CapacityError, match="gate list of 48 records.*physical memory"):
+                call()
+        monkeypatch.setattr(sv, "physical_memory_bytes", lambda: kept * state_bytes + list_bytes)
         call()
+
+    def test_a_price_of_any_size_is_never_built(self):
+        # Built, 16 << 10**30 would be an integer of about 1e29 bytes.
+        with pytest.raises(CapacityError, match=r"^x: 2\*\*1e\+30 B, more than the [\d.]+ GiB"):
+            sv.check_memory(16, "x", 10**30)
+        with pytest.raises(CapacityError, match=r"^x: 2\*\*809 B, more than"):
+            sv.check_memory(16, "x", 805)
+        sv.check_memory(0, "x", 10**30)  # nothing costs nothing
 
     def test_one_module_reads_the_limits(self):
         # The other modules price their bytes through `check_memory` and
