@@ -20,6 +20,8 @@ GOLDEN = {
     "simulate_n8_eta2_random.json": ["simulate", "--n", "8", "--marks", "1,2,8", "--eta", "2",
                                      "--seed", "4", "--tie-break", "random"],
     "simulate_n8_eta3.json": ["simulate", "--n", "8", "--marks", "3", "--eta", "3", "--seed", "7"],
+    # 24 qubits, the default cap: the search touches only its live amplitudes.
+    "simulate_n8_eta5.json": ["simulate", "--n", "8", "--eta", "5", "--marks", "1", "--seed", "1"],
     "simulate_n2_eta6.csv": ["simulate", "--n", "2", "--mask", "0x1", "--eta", "6", "--seed", "2",
                              "--format", "csv"],
     "simulate_n4_eta6.json": ["simulate", "--n", "4", "--eta", "6", "--marks", "1,4",
