@@ -76,7 +76,7 @@ def _check_instance(params: SearchParameters, pred: BooleanPredicate, copies: in
         raise DomainError(f"predicate size {pred.size} != item count {params.n_items}")
     sv.check_capacity(
         params.total_qubits, copies, "instance",
-        f"{params.item_bits}*{params.n_samples}+{params.n_items}+1",
+        f"{params.item_bits}*{sv.compact(params.n_samples)}+{sv.compact(params.n_items)}+1",
     )
 
 
@@ -167,7 +167,8 @@ def _apply_step(
     state: StateVector, params: SearchParameters, pred: BooleanPredicate, step: str
 ) -> None:
     """Apply one step, or steps 3-5 as one pass, derived from the instance
-    and the predicate, as the fused pass where the step has one."""
+    and the predicate, as the fused pass where the step has one; each
+    skips the parts of the state that hold only zeros."""
     ancilla = params.ancilla_qubit
     if step == "step2a":
         sv.apply_hadamards(state, [*params.all_sample_qubits(), ancilla])
@@ -195,15 +196,19 @@ def run_circuit(
     cannot hold.  Without it, no gate list is built: each step is derived
     from the instance and the predicate.  Steps 2a and 6 go through the
     block kernel of `statevector`, as Hadamard blocks and as one
-    reflection block I - 2J/N per sample register; it skips the state's
-    all-zero pieces, all but incidence row 0 at step 2a and all but the
-    two rows of incidence value 0 at step 6.  Steps 3-5, the query,
-    are one pass: each cache-sized block of the state takes step 3's net
-    incidence flips (an XOR keyed by the sample registers), step 4's as
-    one parity-keyed swap of the ancilla, and step 5's in turn.  Each step
-    equals its records up to rounding, steps 3-5 byte for byte.  Both runs
-    check the predicate size and the capacity for the states they keep
-    before they allocate.
+    reflection block I - 2J/N per sample register.  Only the two rows of
+    incidence value 0, one per ancilla value, ever hold a nonzero
+    amplitude, and every pass skips what holds only zeros: the sample
+    blocks of step 2a and step 6 act on those rows' pieces, the
+    ancilla's Hadamard and step 2b on their slabs.  Steps 3-5, the
+    query, are one pass over ancilla row pairs: an amplitude swaps with
+    its ancilla partner where step 3's net incidence flips (an XOR keyed
+    by the sample registers) reach a value of odd parity under step 4's
+    controls, and a pair of all-zero rows is skipped.  So a search
+    writes only the pages that its live amplitudes occupy.  Each step
+    equals its records up to rounding and the sign of zeros, steps 3-5
+    exactly.  Both runs check the predicate size and the capacity for
+    the states they keep before they allocate.
     """
     _check_instance(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(params.total_qubits)

@@ -7,8 +7,9 @@ flips and phase flips, the inversion-about-average operator, marginal
 measurement, and state comparison modulo global phase.  The uncaptured
 circuit uses fused primitives: a kernel of small real blocks (Hadamards
 on up to three qubits, register inversions) that skips the state's
-all-zero pieces, and an XOR pass on the high qubits keyed by the low
-ones, twice around a parity-keyed flip of the top qubit (the query).
+all-zero pieces and slabs, and the query: an XOR on the high qubits
+keyed by the low ones, twice around a parity-keyed flip of the top
+qubit, applied as the swaps of ancilla row pairs that the three make.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -17,19 +18,18 @@ qubit in the list.  Gates mutate the state in place and return it.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
 slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, on the calling thread, one piece of 2**15 at a time), and
-the XOR pass's blocks of a piece or a quarter of the state, split
-between two workers from 17 qubits up where the process may run on two
-CPUs.  The literal inversion about average alone holds one register mean
-per setting of the other qubits.  Before any allocation, `check_capacity`
-refuses past the qubit cap and `check_memory` past physical memory.
+at most 2**12, one piece of 2**15 at a time), and the query pass's
+indices and swapped values for a chunk of at most a piece.  Every pass
+runs on the calling thread.  The literal inversion about average alone
+holds one register mean per setting of the other qubits.  Before any
+allocation, `check_capacity` refuses past the qubit cap and
+`check_memory` past physical memory.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import deque
 from functools import lru_cache, reduce
 from typing import Sequence
 
@@ -52,22 +52,14 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
 _BATCH_AMPLITUDES = 1 << 13
-# Amplitudes per piece for the blocks and the XOR permutation: about a
-# level-2 cache, and enough to amortise the Python loop.
+# Amplitudes per piece for the blocks, sigma_z and the query pass: about
+# a level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
 # A block widened to rows of at most this many floats beats the block
 # times short slices (see `_apply_block`).
 _WIDE_ROW_FLOATS = 32
 # A flip swaps slabs of at most 2**_SWAP_AXES amplitudes.
 _SWAP_AXES = 12
-
-
-# CPUs this process may run on: the XOR permutation's most workers.
-_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-# The XOR permutation's worker thread and the process that made it; a
-# forked child has no copy of the thread, so it makes its own.
-_xor_pool = None
-_xor_pool_pid = 0
 
 
 def qubit_cap() -> int:
@@ -128,12 +120,18 @@ def check_memory(need: int, what: str, shift: int = 0) -> None:
     raise CapacityError(f"{what}: {size}, more than the {have / 2**30:.1f} GiB of physical memory")
 
 
+def compact(count: int) -> str:
+    """A count in full below 10**20, past that as 2**x, so that a message
+    naming it stays one short line."""
+    return str(count) if count < 10**20 else f"2**{math.log2(count):.6g}"
+
+
 def check_capacity(n_qubits: int, copies: int = 1, what: str = "state", terms: str = "") -> None:
     """Refuse n_qubits above the qubit cap, or `copies` states of them
     past physical memory (copies = 0 checks the cap alone).  The message
     names `what` and how its qubits add up (`terms`, e.g. "5*4+32+1")."""
     cap = qubit_cap()
-    needs = f"{what} needs {terms + ' = ' if terms else ''}{n_qubits} qubits"
+    needs = f"{what} needs {terms + ' = ' if terms else ''}{compact(n_qubits)} qubits"
     if n_qubits > cap:
         raise CapacityError(f"{needs}, above the cap of {cap} (override with {QUBIT_CAP_ENV_VAR})")
     # 16 B per amplitude
@@ -218,7 +216,8 @@ def _apply_block(
     on the right instead, at 2 << start times the arithmetic, which is
     faster there and slower from 64 floats on.  Either way one numpy call
     multiplies a stack of at most _BATCH_AMPLITUDES, each BLAS call in it
-    at most _BLAS_AMPLITUDES.
+    at most _BLAS_AMPLITUDES.  The block maps zeros to zeros, so a stack
+    of slabs that holds no nonzero float is skipped (see `_nonzero`).
     """
     batch = 2 * _BATCH_AMPLITUDES
     if start == 0 or (2 << start) << width <= _WIDE_ROW_FLOATS:
@@ -244,17 +243,17 @@ def _apply_block(
     for r in range(0, len(slabs), down):
         for c in range(0, slabs.shape[1], across):
             chunk = slabs[r : r + down, c : c + across]
-            np.matmul(matrix, chunk, out=out)
-            chunk[...] = out
+            if _nonzero(chunk):
+                np.matmul(matrix, chunk, out=out)
+                chunk[...] = out
 
 
-def _live_units(floats: np.ndarray, size: int):
-    """The units of `size` floats that hold a nonzero float, or the only
-    one.  Zero is float equality: -0.0 is zero, a subnormal is not.  The
-    first 64 floats are tested before the whole unit, so a dense unit
-    costs one short read."""
-    units = floats.reshape(-1, size)
-    return units if len(units) == 1 else (u for u in units if u[:64].any() or u.any())
+def _nonzero(chunk: np.ndarray) -> bool:
+    """Whether the chunk holds a nonzero value.  Zero is float equality:
+    -0.0 is zero, a subnormal is not.  The first 64 values of its first
+    row are tested before the whole chunk, so a dense chunk costs one
+    short read."""
+    return bool(chunk[(0,) * (chunk.ndim - 1)][:64].any() or chunk.any())
 
 
 def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
@@ -265,9 +264,9 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     so the state streams through memory once for all of them; the others
     act on the whole state, one at a time.  All share one scratch.
 
-    A block maps zeros to zeros, so all-zero units are skipped (see
-    `_live_units`): pieces for the low blocks, aligned runs of
-    2**(start+width) amplitudes, the span it mixes, for a high block.
+    A block maps zeros to zeros, so all-zero pieces are skipped for the
+    low blocks (see `_nonzero`), unless the state is one piece; a high
+    block skips its all-zero stacks of slabs inside `_apply_block`.
     """
     floats = state.amplitudes.view(np.float64)
     scratch = np.empty(min(2 * _BATCH_AMPLITUDES, floats.size))
@@ -275,12 +274,12 @@ def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
     low = [run for run in runs if run[1] + run[2] <= piece_qubits]
     high = [run for run in runs if run[1] + run[2] > piece_qubits]
     if low:
-        for piece in _live_units(floats, 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)):
+        pieces = floats.reshape(-1, 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size))
+        for piece in pieces if len(pieces) == 1 else filter(_nonzero, pieces):
             for run in low:
                 _apply_block(piece, *run, scratch)
     for run in high:
-        for unit in _live_units(floats, 2 << (run[1] + run[2])):
-            _apply_block(unit, *run, scratch)
+        _apply_block(floats, *run, scratch)
 
 
 def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
@@ -313,59 +312,6 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     return state
 
 
-def _xor_columns(
-    amplitudes: np.ndarray, masks: np.ndarray, cols: int, starts: deque, odd_rows: np.ndarray
-) -> None:
-    """Pass blocks of `cols` columns of `apply_xor_permutation`'s grid,
-    taking each block's first column from `starts` until none is left: copy
-    the block, gather it through a block-local index, flip the top row bit
-    on `odd_rows`, gather again and write it back.  It calls numpy alone,
-    so it may run on a worker thread."""
-    high = amplitudes.size // len(masks)
-    grid = amplitudes.reshape(high, len(masks))
-    shift = cols.bit_length() - 1
-    # Within a block, |h XOR masks[c+k], c+k> sits at (h << shift) XOR
-    # (masks[c+k] << shift) XOR k: each block XORs in its keys' change.
-    index = np.arange(high * cols, dtype=np.intp).reshape(high, cols)
-    keys = np.zeros(cols, dtype=np.intp)
-    block = np.empty((high, cols), dtype=np.complex128)
-    out = np.empty_like(block)
-    while True:
-        try:
-            c = starts.popleft()  # atomic, so each block goes to one worker
-        except IndexError:
-            return
-        block[...] = grid[:, c : c + cols]
-        new = np.left_shift(masks[c : c + cols], shift, dtype=np.intp)
-        keys ^= new
-        index ^= keys
-        keys = new
-        # Every index is in range; mode "raise" would buffer `out` again.
-        np.take(block, index, out=out, mode="wrap")
-        # Swap the halves' odd rows through `block`, free until the second
-        # gather overwrites it.
-        lower, upper = out.reshape(2, -1, cols)
-        spare = block.reshape(2, -1)[:, : len(odd_rows) * cols].reshape(2, -1, cols)
-        np.take(lower, odd_rows, axis=0, out=spare[0], mode="wrap")
-        np.take(upper, odd_rows, axis=0, out=spare[1], mode="wrap")
-        lower[odd_rows] = spare[1]
-        upper[odd_rows] = spare[0]
-        np.take(out, index, out=block, mode="wrap")
-        grid[:, c : c + cols] = block
-
-
-def _worker_pool():
-    """The XOR permutation's worker thread, made on first use in each process."""
-    global _xor_pool, _xor_pool_pid
-    if _xor_pool_pid != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
-
-        # The caller takes one share; shares keep half a piece, so two at most.
-        _xor_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="paritysearch-xor")
-        _xor_pool_pid = os.getpid()
-    return _xor_pool
-
-
 def apply_xor_permutation(
     state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int
 ) -> StateVector:
@@ -374,20 +320,20 @@ def apply_xor_permutation(
     of the search, its one query.
 
     c is the value of the lowest `low_qubits` qubits and h that of the
-    rest.  XOR is an involution, so gathering row h XOR masks[c] of each
-    column c is the permutation itself.  Columns go in blocks of at most
-    one piece and a quarter of the state (one column at least), each
-    through every step before the next is read, so the state is read and
-    written once.  A block's two buffers and index take 40 bytes per
-    amplitude, and NumPy buffers the index's broadcast XOR in 64 KiB, so
-    together they stay below the state.
+    rest.  The three maps move an amplitude only between row h and its
+    partner across the top qubit, h XOR half: the first takes (h, c) to
+    row h XOR masks[c], the flip crosses where that row's bits under the
+    key have odd parity, and the second map takes it back.  So for each
+    h below half the pass swaps rows h and h + half on the columns c
+    where h XOR masks[c] has odd parity under the key: the maps composed
+    as index arithmetic, not applied one after another.
 
-    Up to _CPUS workers split the block: each holds buffers of its share
-    while the share keeps at least half a piece and one column, and one
-    worker takes all otherwise.  Workers take the next block of columns
-    until none is left, so one on a busy CPU takes fewer.  A block reads
-    and writes only its own columns, so they need no lock and the result
-    does not depend on which worker takes a block.
+    Row pairs go in chunks of at most a piece: whole pairs, or columns of
+    one pair where a row is longer than half a piece.  A pair that holds
+    no nonzero value is skipped, tested as `_nonzero` tests a chunk (a
+    prefix first) but row by row in one call; the chunk's live pairs swap
+    in place through flat indices.  Its temporaries, flat indices and
+    one side's values, take at most 48 bytes per amplitude pair.
     """
     if not 0 <= low_qubits <= state.n_qubits:
         raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
@@ -399,30 +345,51 @@ def apply_xor_permutation(
         raise DomainError(f"masks must lie in 0..{high - 1}")
     if not 0 <= parity_key < high // 2:
         raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
-    # The parity of h AND parity_key for h below high/2, one bit at a time.
+    masks = masks.astype(np.intp, copy=False)
+    # The parity of h AND parity_key for every row h, one bit at a time.
     odd = np.zeros(1, dtype=bool)
-    for b in range(state.n_qubits - low_qubits - 1):
+    for b in range(state.n_qubits - low_qubits):
         odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
-    odd_rows = np.flatnonzero(odd)
-    block = min(_PIECE_AMPLITUDES, state.amplitudes.size // 4)
-    workers = max(1, min(_CPUS, 2 * block // _PIECE_AMPLITUDES, block // high))
-    cols = min(width, max(block // (workers * high), 1))
-    starts = deque(range(0, width, cols))
-    args = (state.amplitudes, masks, cols, starts, odd_rows)
-    futures = [_worker_pool().submit(_xor_columns, *args) for _ in range(1, workers)]
-    try:
-        _xor_columns(*args)
-    finally:
-        for future in futures:
-            future.result()
+    half = high // 2
+    grid = state.amplitudes.reshape(high, width)
+    upper = state.amplitudes[half * width :]
+    cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
+    rows = min(half, max(_PIECE_AMPLITUDES // (2 * width), 1))
+    shift = cols.bit_length() - 1
+    for h in range(0, half, rows):
+        for c in range(0, width, cols):
+            pair = grid[h : h + rows, c : c + cols], grid[h + half : h + half + rows, c : c + cols]
+            live = pair[0][:, :64].any(1) | pair[1][:, :64].any(1)
+            if not live.all():
+                live = pair[0].any(1) | pair[1].any(1)
+            live = np.flatnonzero(live) + h
+            if not live.size:
+                continue
+            swap = np.flatnonzero(odd[live[:, None] ^ masks[c : c + cols]])
+            # Mask entry (k, j) is amplitude (live[k] << low_qubits) + c + j,
+            # and `upper` holds its partner at the same index.
+            index = (live << low_qubits)[swap >> shift]
+            index += c
+            swap &= cols - 1
+            index += swap
+            lower = state.amplitudes.take(index)
+            state.amplitudes.put(index, upper.take(index))
+            upper.put(index, lower)
     return state
 
 
 def apply_sigma_z(state: StateVector, qubit: int) -> StateVector:
-    """Negate amplitudes of basis states with the qubit set."""
+    """Negate amplitudes of basis states with the qubit set, skipping
+    chunks of at most a piece that hold no nonzero value (see `_nonzero`)."""
     _check_qubit(state, qubit)
     v = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    v[:, 1, :] *= -1.0
+    rows = max(_PIECE_AMPLITUDES >> qubit, 1)
+    cols = min(1 << qubit, _PIECE_AMPLITUDES)
+    for r in range(0, len(v), rows):
+        for c in range(0, v.shape[2], cols):
+            chunk = v[r : r + rows, 1, c : c + cols]
+            if _nonzero(chunk):
+                chunk *= -1.0
     return state
 
 

@@ -287,7 +287,7 @@ QUERY_CASES = [
 
 class TestQueryPass:
     """Steps 3-5 applied as one pass change the same bytes as their literal
-    records, from any state, whatever the workers and the block size."""
+    records, from any state, whatever the piece size."""
 
     @staticmethod
     def literal_and_fused(n, eta, marks, seed, runs):
@@ -306,15 +306,13 @@ class TestQueryPass:
             assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
     # Pieces of 8 and 16 amplitudes cut even the smallest state into many
-    # blocks, down to one column each, and pieces of 16 split them.
+    # chunks, down to part of one row pair each.
     @pytest.mark.parametrize("n, eta, marks", QUERY_CASES)
     def test_matches_records(self, n, eta, marks, monkeypatch):
         def runs():
             for piece in (sv._PIECE_AMPLITUDES, 1 << 3, 1 << 4):
-                for workers in (1, 2):
-                    monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-                    monkeypatch.setattr(sv, "_CPUS", workers)
-                    yield
+                monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
+                yield
 
         self.literal_and_fused(n, eta, marks, seed=n + eta, runs=runs())
 
@@ -325,9 +323,7 @@ class TestQueryPass:
         eta = data.draw(st.integers(1, max_eta))
         marks = data.draw(st.frozensets(st.integers(1, n)))
         piece = data.draw(st.sampled_from([1 << 3, 1 << 4, 1 << 6, 1 << 15]))
-        workers = data.draw(st.sampled_from([1, 2]))
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
-                mock.patch.object(sv, "_CPUS", workers):
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
     def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):

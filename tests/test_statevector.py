@@ -2,9 +2,9 @@
 
 import math
 import os
-import signal
+import subprocess
 import sys
-import time
+import threading
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -374,16 +374,15 @@ class TestFusedPrimitives:
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         self.check_query_pass(n, low, key, dtype, seed)
 
-    # With pieces of 8 or 16 amplitudes the columns go in several blocks,
-    # down to one column per block; with the default piece, in one.
+    # With pieces of 8 or 16 amplitudes the row pairs go in several
+    # chunks, down to part of one pair per chunk; with the default piece,
+    # in one.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_query_pass_matches_index_oracle(self, piece, seed, data):
         n, low, key = self.draw_query(data, 9)
-        workers = data.draw(st.sampled_from([1, 2]))
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece), \
-                mock.patch.object(sv, "_CPUS", workers):
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.check_query_pass(n, low, key, np.int64, seed)
 
     @staticmethod
@@ -397,16 +396,21 @@ class TestFusedPrimitives:
     # The pass maps, flips the top qubit where the high bits under the key
     # have odd parity, and maps again.
     @staticmethod
-    def check_query_pass(n, low, key, dtype, seed):
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        state = random_state(n, seed)
+    def query_oracle(state, low, masks, key) -> np.ndarray:
+        n = state.n_qubits
         index = np.arange(1 << n)
         c, h = index & ((1 << low) - 1), index >> low
         xor = ((h ^ masks[c]) << low) | c
         top = 1 << (n - 1)
         odd = np.array([bin(x & key).count("1") & 1 for x in h])
-        expected = state.amplitudes[xor][np.where(odd, index ^ top, index)][xor]
+        return state.amplitudes[xor][np.where(odd, index ^ top, index)][xor]
+
+    @classmethod
+    def check_query_pass(cls, n, low, key, dtype, seed):
+        rng = np.random.default_rng(seed)
+        masks = rng.integers(0, 1 << (n - low), size=1 << low)
+        state = random_state(n, seed)
+        expected = cls.query_oracle(state, low, masks, key)
         apply_xor_permutation(state, low, masks.astype(dtype), key)
         assert np.array_equal(state.amplitudes, expected)
 
@@ -456,9 +460,9 @@ def counted_blocks(monkeypatch) -> list:
 
 
 class TestZeroPieces:
-    """The block kernel skips the units a block would map from zero to
-    zero: pieces of 2**15 amplitudes for the low blocks, aligned runs of
-    2**(start+width) for a block reaching past them."""
+    """The block kernel skips what a block would map from zero to zero:
+    pieces of 2**15 amplitudes for the low blocks, stacks of slabs for a
+    block reaching past them."""
 
     @staticmethod
     def check(fused, literal, dead):
@@ -525,15 +529,20 @@ class TestZeroPieces:
         apply_register_inversions(state, 1, 15)
         assert len(calls) == 15
 
-    # A block on qubit 15 takes units of two pieces, of which {4, 5}
-    # holds zeros alone; on qubit 16, units of four pieces, all live; on
-    # qubit 17, the whole state, which is never tested.
-    @pytest.mark.parametrize("qubit, units", [(15, 3), (16, 2), (17, 1)])
-    def test_high_run_is_applied_to_its_live_units(self, qubit, units, monkeypatch):
-        calls = counted_blocks(monkeypatch)
+    # With pieces 1, 4, 5 and 6 all -0.0, a block on qubit 15 pairs
+    # pieces {4, 5}, on qubit 16 {4, 6} and on qubit 17 {1, 5}, which hold
+    # no nonzero float: their slabs are skipped and keep the sign of zero,
+    # and the others match one Hadamard at a time.
+    @pytest.mark.parametrize("qubit, dead", [(15, (4, 5)), (16, (4, 6)), (17, (1, 5))])
+    def test_high_run_skips_its_dead_slabs(self, qubit, dead):
         state = sparse_state()
+        state.amplitudes.reshape(8, -1)[[1, 4, 6]] = complex(-0.0, -0.0)
+        expected = state.copy()
+        apply_hadamard(expected, qubit)
         apply_hadamards(state, (qubit,))
-        assert len(calls) == units
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+        pieces = state.amplitudes.reshape(8, -1)[list(dead)]
+        assert np.signbit(pieces.view(np.float64)).all()
 
     def test_state_of_one_piece_is_one_unit(self, monkeypatch):
         # Not tested for zeros: even an all-zero piece is multiplied.
@@ -542,129 +551,65 @@ class TestZeroPieces:
         assert len(calls) == 5
 
 
-def xor_workers(monkeypatch) -> list:
-    """Record the block width, in columns, of each worker that
-    `apply_xor_permutation` starts."""
-    widths = []
-    gather = sv._xor_columns
+class TestLiveAmplitudes:
+    """The query pass and sigma_z skip what holds no nonzero value: row
+    pairs of the query, chunks of at most a piece for sigma_z."""
 
-    def recorded(amplitudes, masks, cols, starts, odd_rows):
-        widths.append(cols)
-        gather(amplitudes, masks, cols, starts, odd_rows)
+    # Rows of one piece (low=15), half a piece (14) and an eighth (12).
+    # At low=15 pieces {1, 5} are a dead pair, row 5 holding -0.0; at
+    # low=14 rows {2, 3, 10, 11} and {4, 12} too, row 4 being piece 2's
+    # zero half.
+    @pytest.mark.parametrize("low", [15, 14, 12])
+    def test_query_pass_keeps_dead_row_pairs(self, low):
+        state = sparse_state()
+        high = 1 << (state.n_qubits - low)
+        rng = np.random.default_rng(low)
+        masks = rng.integers(0, high, size=1 << low)
+        key = high // 2 - 1
+        rows = state.amplitudes.reshape(high, -1)
+        pairs = rows.reshape(2, high // 2, -1)
+        dead = np.flatnonzero(~pairs.any(axis=(0, 2)))
+        before = pairs[:, dead].copy()
+        expected = TestFusedPrimitives.query_oracle(state, low, masks, key)
+        apply_xor_permutation(state, low, masks, key)
+        assert np.array_equal(state.amplitudes, expected)
+        assert before.tobytes() == pairs[:, dead].tobytes()
+        assert np.signbit(before.view(np.float64)).any()
 
-    monkeypatch.setattr(sv, "_xor_columns", recorded)
-    return widths
+    def test_sigma_z_keeps_dead_chunks(self):
+        # Pieces 4-7 are the top qubit's half; 4 and 6 hold +0.0, 5 -0.0.
+        state = sparse_state()
+        expected = -state.amplitudes.reshape(8, -1)[[7]]
+        apply_sigma_z(state, 17)
+        pieces = state.amplitudes.reshape(8, -1)
+        assert not np.signbit(pieces[[4, 6]].view(np.float64)).any()
+        assert np.signbit(pieces[5].view(np.float64)).all()
+        assert np.array_equal(pieces[[7]], expected)
 
+    def test_search_starts_no_thread(self):
+        # 17 qubits (N=2, eta=14): four pieces.
+        threads = threading.active_count()
+        run_circuit(SearchParameters(2, 14), BooleanPredicate(2, frozenset({1})))
+        assert threading.active_count() == threads
 
-class TestXorWorkers:
-    """Splitting the XOR permutation between workers changes no byte.
-
-    `_CPUS` is forced to 1 and 2, whatever this machine has."""
-
-    # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
-    LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
-
-    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
-    def test_split_is_exact(self, n_items, eta, monkeypatch):
-        params = SearchParameters(n_items, eta)
-        low = params.item_bits * eta
-        rng = np.random.default_rng(eta)
-        masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
-        key = int(rng.integers(1 << n_items))
-        widths = xor_workers(monkeypatch)
-        results, shares = {}, {}
-        for workers in (1, 2):
-            monkeypatch.setattr(sv, "_CPUS", workers)
-            widths.clear()
-            state = random_state(params.total_qubits, seed=eta)
-            apply_xor_permutation(state, low, masks, key)
-            results[workers], shares[workers] = state.amplitudes, list(widths)
-        # Two workers divide one worker's block between them.
-        assert shares[2] == [shares[1][0] // 2] * 2
-        assert np.array_equal(results[1], results[2])
-
-    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
-    def test_split_search_is_exact(self, n_items, eta, monkeypatch):
-        params = SearchParameters(n_items, eta)
-        pred = BooleanPredicate(n_items, frozenset({1}))
-        finals = {}
-        for workers in (1, 2):
-            monkeypatch.setattr(sv, "_CPUS", workers)
-            finals[workers] = run_circuit(params, pred).final_state.amplitudes
-        assert np.array_equal(finals[1], finals[2])
-
-    # With pieces of 8 amplitudes, states from 5 qubits up split.
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_split_in_small_pieces(self, seed, data):
-        n, low, key = TestFusedPrimitives.draw_query(data, 9)
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 3), \
-                mock.patch.object(sv, "_CPUS", 2):
-            TestFusedPrimitives.check_query_pass(n, low, key, np.int64, seed)
-
-    def test_split_under_fast_thread_switches(self, monkeypatch):
-        # The workers share one queue of blocks.  With pieces of 8
-        # amplitudes a 12-qubit state has 1024 one-column blocks; a block
-        # taken twice is permuted back, and a block taken by no worker
-        # stays, so either breaks equality with the one-worker result.
-        monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
-        n, low = 12, 10
-        masks = np.random.default_rng(5).integers(0, 1 << (n - low), size=1 << low)
-        monkeypatch.setattr(sv, "_CPUS", 1)
-        expected = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
-        monkeypatch.setattr(sv, "_CPUS", 2)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(20):
-                state = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
-                assert np.array_equal(state.amplitudes, expected.amplitudes)
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("n_qubits, low", [(18, 3), (16, 8), (15, 6)])
-    def test_one_worker_where_the_block_cannot_be_divided(self, n_qubits, low, monkeypatch):
-        # A block of one column, or one below a piece, holds no two shares.
-        monkeypatch.setattr(sv, "_CPUS", 2)
-        widths = xor_workers(monkeypatch)
-        masks = np.arange(1 << low) % (1 << (n_qubits - low))
-        apply_xor_permutation(random_state(n_qubits, seed=low), low, masks, 1)
-        assert len(widths) == 1
-
-    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    @pytest.mark.filterwarnings("ignore::DeprecationWarning")
-    def test_forked_child_makes_its_own_worker(self, monkeypatch):
-        # The child inherits the parent's pool object but not its thread;
-        # a split in the child must not wait on the missing thread.
-        monkeypatch.setattr(sv, "_CPUS", 2)
-        n, low = 18, 9
-        masks = np.arange(1 << low)[::-1] % (1 << (n - low))
-        key = 0b10110
-        apply_xor_permutation(random_state(n, seed=3), low, masks, key)
-        assert sv._xor_pool_pid == os.getpid()
-        expected = random_state(n, seed=4)
-        with mock.patch.object(sv, "_CPUS", 1):
-            apply_xor_permutation(expected, low, masks, key)
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                state = random_state(n, seed=4)
-                apply_xor_permutation(state, low, masks, key)
-                exact = np.array_equal(state.amplitudes, expected.amplitudes)
-                code = 0 if exact and sv._xor_pool_pid == os.getpid() else 2
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while time.monotonic() < deadline:
-            done, status = os.waitpid(pid, os.WNOHANG)
-            if done:
-                assert os.waitstatus_to_exitcode(status) == 0
-                return
-            time.sleep(0.05)
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        pytest.fail("the forked child's split did not finish within 60 s")
+    def test_search_writes_only_its_live_pages(self):
+        # A 21-qubit search (N=8, eta=4) holds a 32 MiB state, of which
+        # 2**13 amplitudes are ever nonzero; its peak RSS may grow by less
+        # than a quarter of the state past a 15-qubit warm-up's.
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        code = (
+            "import resource\n"
+            "from paritysearch import BooleanPredicate, SearchParameters, run_search\n"
+            "pred = BooleanPredicate(8, frozenset({1}))\n"
+            "run_search(SearchParameters(8, 2), pred, seed=1)\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "run_search(SearchParameters(8, 4), pred, seed=1)\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) * 1024 < (16 << 21) // 4
 
 
 class TestMemoryContract:
@@ -674,13 +619,11 @@ class TestMemoryContract:
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
-    8192 (128 KiB); the XOR pass holds a block of at most 2**15
-    amplitudes and a quarter of the state twice, with its int64 index,
-    and NumPy's 64 KiB of buffers for the index's broadcast XOR: up to
-    about 1.4 MiB here, and under 512 KiB for the 15-qubit state of N=8,
-    eta=2, where a block of the whole state would hold 1.25 MiB.  Two XOR
-    workers each hold half a block and their own broadcast buffers.
-    Fixed bounds leave room for the Python objects made per call.
+    8192 (128 KiB); the query pass holds, for a chunk of half a piece
+    (2**14 amplitudes), its int64 row indices, a mask of the pairs to
+    swap, their flat indices and one side's values: under 1 MiB, and
+    under 512 KiB for the 15-qubit state of N=8, eta=2.  Fixed bounds
+    leave room for the Python objects made per call.
     """
 
     BUFFER_BOUND = 256 * 1024
@@ -750,47 +693,34 @@ class TestMemoryContract:
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
-    # The query pass holds a copy of the block beside the gathered one,
-    # 40 bytes per amplitude with the index, and swaps step 4's rows
-    # through the copy; its odd rows add 2 bytes per high row.  Each case
-    # runs with one worker and with two, several times, so that two
-    # workers' buffers overlap in time in some run.  At low=3 a block is
-    # one column, which two workers cannot share.  The worker thread is
-    # made untraced first: the first split in a process imports
-    # concurrent.futures (about 600 KiB of Python objects), once.
-    def check_query_pass(self, state, low, keys, monkeypatch):
-        sv._worker_pool()
+    # A chunk is one row pair's columns at low=15, and many row pairs at
+    # low=9 and low=3.  Each case runs several times.
+    def check_query_pass(self, state, low, keys):
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
         for key in keys:
-            for workers in (1, 2):
-                monkeypatch.setattr(sv, "_CPUS", workers)
-                for _ in range(self.XOR_REPEATS):
-                    peak = self.traced_peak(
-                        lambda: apply_xor_permutation(state, low, masks, key)
-                    )
-                    assert peak <= self.XOR_BOUND
+            for _ in range(self.XOR_REPEATS):
+                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, key))
+                assert peak <= self.XOR_BOUND
 
     # Key 0 flips no row: the pass is the XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_xor_permutation(self, state, low, monkeypatch):
-        self.check_query_pass(state, low, (0,), monkeypatch)
+    def test_xor_permutation(self, state, low):
+        self.check_query_pass(state, low, (0,))
 
     @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_query_pass(self, state, low, monkeypatch):
+    def test_query_pass(self, state, low):
         high = 1 << (self.N_QUBITS - low)
         keys = (1, 0x5555 & (high // 2 - 1), high // 2 - 1)
-        self.check_query_pass(state, low, keys, monkeypatch)
+        self.check_query_pass(state, low, keys)
 
-    def test_xor_permutation_below_a_small_state(self, monkeypatch):
+    def test_xor_permutation_below_a_small_state(self):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
         n, low = 15, 6
         state = random_state(n, seed=2)
         masks = np.arange(1 << low) % (1 << (n - low))
-        for workers in (1, 2):
-            monkeypatch.setattr(sv, "_CPUS", workers)
-            for _ in range(self.XOR_REPEATS):
-                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, 0x55))
-                assert peak < state.amplitudes.nbytes
+        for _ in range(self.XOR_REPEATS):
+            peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, 0x55))
+            assert peak < state.amplitudes.nbytes
 
 
 class TestInversionAboutAverage:
