@@ -115,7 +115,7 @@ def analytic_product_state(
         raise DomainError(f"sample count must be >= 1, got {n_samples}")
     item_bits = model.n_items.bit_length() - 1
     total_qubits = item_bits * n_samples
-    sv.check_capacity(total_qubits, 1, "product state", f"{item_bits}*{n_samples}")
+    sv.check_capacity(total_qubits, 1, "product state", f"{item_bits}*{sv.compact(n_samples)}")
     single = np.where(_marked(model, pred), complex(model.marked_amp),
                       complex(model.unmarked_amp))
     full = single
@@ -334,7 +334,7 @@ def _exact_vote(model: AmplitudeModel, pred: BooleanPredicate, n_samples: int,
     work = model.n_items * (n_samples + 1) ** 3
     if work > DEFAULT_EXACT_WORK_CAP:
         raise CapacityError(
-            f"exact computation needs ~{work} cell updates, above the cap of "
+            f"exact computation needs ~{sv.compact(work)} cell updates, above the cap of "
             f"{DEFAULT_EXACT_WORK_CAP}; use the Monte Carlo estimator instead"
         )
     positions = np.flatnonzero(_marked(model, pred) == marked_wins)
@@ -465,7 +465,7 @@ def monte_carlo_success_probability(
     if tie_break not in ("lowest_index", "random"):
         raise DomainError(f"unknown tie-break policy {tie_break!r}")
     if n_samples > np.iinfo(np.int64).max:
-        raise DomainError(f"sample count {n_samples} exceeds 2**63 - 1")
+        raise DomainError(f"sample count {sv.compact(n_samples)} exceeds 2**63 - 1")
     # Priced before any N-sized array exists.
     width = _row_width(model.n_items, n_samples)
     sv.check_memory(_BYTES_PER_ENTRY * width, f"a Monte Carlo row of {width} entries")

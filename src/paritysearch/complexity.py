@@ -27,6 +27,7 @@ from .analytic import scheduled_sample_count
 from .circuit import GateRecord
 from .errors import DomainError
 from .oracle import BooleanPredicate, SearchParameters, _check_power_of_two
+from .statevector import compact
 
 PAPER_MODEL = "paper"
 NAIVE_MODEL = "naive_decoder"
@@ -96,7 +97,7 @@ def sort_comparisons(n_samples: int) -> int:
     """ceil(n * log2 n) comparisons to sort the sample list, for n below
     2**1014, past which n * log2 n overflows a float."""
     if not 1 <= n_samples < 2**1014:
-        raise DomainError(f"sample count must be >= 1 and below 2**1014, got {n_samples}")
+        raise DomainError(f"sample count must be >= 1 and below 2**1014, got {compact(n_samples)}")
     return math.ceil(n_samples * math.log2(n_samples))
 
 

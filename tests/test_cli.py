@@ -421,6 +421,18 @@ class TestExitContract:
         self.one_line_exit(result, 3)
         assert "above the cap of 24" in result.stderr
 
+    # Counts of about 300 digits (samples, qubits, cell updates) are
+    # stated as 2**x, so each refusal stays a short line.
+    @pytest.mark.parametrize("args, code", [
+        (["simulate", "--n", "8", "--marks", "1", "--schedule-c", "1e300"], 3),
+        (["analytic", "--n", "8", "--t", "1", "--schedule-c", "1e300", "--trials", "5"], 2),
+        (["analytic", "--n", "8", "--t", "1", "--schedule-c", "1e300"], 3),
+    ])
+    def test_huge_counts_are_stated_compactly(self, runner, args, code):
+        result = runner.invoke(main, args)
+        self.one_line_exit(result, code)
+        assert len(result.stderr.encode()) < 200
+
     @staticmethod
     def cli_in_3_gib(*args, qubit_cap=None):
         # Under a 3 GiB address space an allocation that should have been
@@ -519,8 +531,7 @@ class TestExitContract:
         assert "marked set" in result.stderr
 
     def test_cli_import_makes_no_worker(self):
-        # The query pass imports concurrent.futures when it first splits,
-        # so setting up the CLI imports no thread pool.
+        # Setting up the CLI imports no thread pool.
         src = str(Path(__file__).resolve().parent.parent / "src")
         proc = subprocess.run(
             [sys.executable, "-c",
