@@ -566,8 +566,7 @@ class TestLiveAmplitudes:
         rng = np.random.default_rng(low)
         masks = rng.integers(0, high, size=1 << low)
         key = high // 2 - 1
-        rows = state.amplitudes.reshape(high, -1)
-        pairs = rows.reshape(2, high // 2, -1)
+        pairs = state.amplitudes.reshape(2, high // 2, -1)
         dead = np.flatnonzero(~pairs.any(axis=(0, 2)))
         before = pairs[:, dead].copy()
         expected = TestFusedPrimitives.query_oracle(state, low, masks, key)
