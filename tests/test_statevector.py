@@ -529,20 +529,28 @@ class TestZeroPieces:
         apply_register_inversions(state, 1, 15)
         assert len(calls) == 15
 
-    # With pieces 1, 4, 5 and 6 all -0.0, a block on qubit 15 pairs
-    # pieces {4, 5}, on qubit 16 {4, 6} and on qubit 17 {1, 5}, which hold
-    # no nonzero float: their slabs are skipped and keep the sign of zero,
-    # and the others match one Hadamard at a time.
-    @pytest.mark.parametrize("qubit, dead", [(15, (4, 5)), (16, (4, 6)), (17, (1, 5))])
-    def test_high_run_skips_its_dead_slabs(self, qubit, dead):
+    # A block on qubit q acts on aligned units of 2**(q+1) amplitudes: on
+    # qubit 15 units of two pieces, of which {4, 5} holds zeros alone; on
+    # qubit 16 units of four pieces, all live; on qubit 17 the whole state.
+    # Inside a live unit it skips the slabs of a piece pair that holds no
+    # nonzero float, so with pieces 1, 4, 5 and 6 all -0.0 the pairs {4, 5},
+    # {4, 6} and {1, 5} keep the sign of zero, the last two inside live
+    # units, and the rest matches one Hadamard at a time.
+    DEAD_PAIRS = {15: (4, 5), 16: (4, 6), 17: (1, 5)}
+
+    @pytest.mark.parametrize("qubit, units", [(15, 3), (16, 2), (17, 1)])
+    def test_high_run_is_applied_to_its_live_units(self, qubit, units):
         state = sparse_state()
-        state.amplitudes.reshape(8, -1)[[1, 4, 6]] = complex(-0.0, -0.0)
+        pieces = state.amplitudes.reshape(8, -1)
+        pieces[[1, 4, 6]] = complex(-0.0, -0.0)
+        unit_pieces = 2 << (qubit - 15)
+        assert pieces.reshape(-1, unit_pieces * pieces.shape[1]).any(axis=1).sum() == units
         expected = state.copy()
         apply_hadamard(expected, qubit)
         apply_hadamards(state, (qubit,))
         assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
-        pieces = state.amplitudes.reshape(8, -1)[list(dead)]
-        assert np.signbit(pieces.view(np.float64)).all()
+        dead = pieces[list(self.DEAD_PAIRS[qubit])]
+        assert np.signbit(dead.view(np.float64)).all()
 
     def test_state_of_one_piece_is_one_unit(self, monkeypatch):
         # Not tested for zeros: even an all-zero piece is multiplied.
@@ -609,6 +617,71 @@ class TestLiveAmplitudes:
                               env={**os.environ, "PYTHONPATH": src}, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert int(proc.stdout) * 1024 < (16 << 21) // 4
+
+
+class TestXorWorkers:
+    """The query pass runs in the calling thread and starts no worker; it
+    divides the row pairs into chunks of at most a piece.  How it divides
+    them changes no byte, and passes in other threads do not disturb it."""
+
+    # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
+    LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
+
+    # Pieces of 2**9 amplitudes cut every row pair of these layouts into
+    # several chunks; the default piece takes whole pairs or fewer cuts.
+    # Both match the index oracle.
+    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
+    def test_split_is_exact(self, n_items, eta, monkeypatch):
+        params = SearchParameters(n_items, eta)
+        low = params.item_bits * eta
+        rng = np.random.default_rng(eta)
+        masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
+        key = int(rng.integers(1 << n_items))
+        expected = TestFusedPrimitives.query_oracle(
+            random_state(params.total_qubits, seed=eta), low, masks, key
+        )
+        for piece in (sv._PIECE_AMPLITUDES, 1 << 9):
+            monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
+            state = random_state(params.total_qubits, seed=eta)
+            apply_xor_permutation(state, low, masks, key)
+            assert np.array_equal(state.amplitudes, expected)
+
+    # With pieces of 2 amplitudes every chunk is one amplitude pair.
+    @settings(deadline=None, max_examples=40)
+    @given(seed=st.integers(0, 10_000), data=st.data())
+    def test_split_in_small_pieces(self, seed, data):
+        n, low, key = TestFusedPrimitives.draw_query(data, 9)
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 1):
+            TestFusedPrimitives.check_query_pass(n, low, key, np.int64, seed)
+
+    def test_split_under_fast_thread_switches(self, monkeypatch):
+        # Two threads run the pass on states of their own while the
+        # interpreter switches threads every microsecond.  With pieces of
+        # 8 amplitudes a 12-qubit state takes 512 chunks; any state shared
+        # between the calls would break equality with the one-thread result.
+        monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
+        n, low = 12, 10
+        masks = np.random.default_rng(5).integers(0, 1 << (n - low), size=1 << low)
+        expected = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
+        results = []
+
+        def run():
+            for _ in range(20):
+                state = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
+                results.append(np.array_equal(state.amplitudes, expected.amplitudes))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run) for _ in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True] * 40
 
 
 class TestMemoryContract:
