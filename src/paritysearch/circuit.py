@@ -153,35 +153,33 @@ def _occurrence_masks(params: SearchParameters) -> np.ndarray:
 
     masks[c] is the XOR over registers i of 1 << digit_i(c): incidence
     qubit j, bit j-1 above the sample qubits, flips once per register
-    that holds item j.  Read-only, since every caller shares it.
+    that holds item j.  Built one register at a time: with register i
+    the top digit d, masks[d * N**(i-1) + c'] = (1 << d) XOR the masks
+    of the registers below at c'.  Read-only, since every caller shares it.
     """
-    values = np.arange(1 << (params.item_bits * params.n_samples))
-    masks = np.zeros_like(values)
-    for i in range(params.n_samples):
-        masks ^= 1 << ((values >> (i * params.item_bits)) & (params.n_items - 1))
+    flips = 1 << np.arange(params.n_items, dtype=np.int64)
+    masks = np.zeros(1, dtype=np.int64)
+    for _ in range(params.n_samples):
+        masks = (flips[:, None] ^ masks[None, :]).reshape(-1)
     masks.setflags(write=False)
     return masks
 
 
-def _apply_step(
-    state: StateVector, params: SearchParameters, pred: BooleanPredicate, step: str
-) -> None:
-    """Apply one step, or steps 3-5 as one pass, derived from the instance
-    and the predicate, as the fused pass where the step has one; each
-    skips the parts of the state that hold only zeros."""
-    ancilla = params.ancilla_qubit
-    if step == "step2a":
-        sv.apply_hadamards(state, [*params.all_sample_qubits(), ancilla])
-    elif step == "step2b":
-        sv.apply_sigma_z(state, ancilla)
-    elif step == "step3-5":
-        # Incidence qubit j is bit j-1 of the high qubits and the ancilla
-        # their top bit, so the mask's bits pick step 4's controls.
-        sv.apply_xor_permutation(
-            state, params.item_bits * params.n_samples, _occurrence_masks(params), pred.to_mask()
-        )
-    else:
-        sv.apply_register_inversions(state, params.item_bits, params.n_samples)
+def _run_rows(state: StateVector, params: SearchParameters, pred: BooleanPredicate) -> None:
+    """Steps 2a-6 on the two rows where the incidence register reads 0,
+    one per ancilla value, in place: views of `state`, which holds no
+    other nonzero amplitude outside the query."""
+    k = params.item_bits * params.n_samples
+    lower, upper = (StateVector(k, row) for row in state.amplitudes.reshape(2, -1, 1 << k)[:, 0])
+    for row in (lower, upper):
+        sv.apply_hadamards(row, range(k))
+    sv.apply_pair_hadamard(lower, upper)  # the ancilla's Hadamard
+    upper.amplitudes *= -1.0  # step 2b
+    # Steps 3-5: the rows swap where the net incidence flips reach a value
+    # of odd parity under step 4's controls (`apply_xor_permutation`, h = 0).
+    sv.swap_where_odd(lower, upper, _occurrence_masks(params), pred.to_mask())
+    for row in (lower, upper):
+        sv.apply_register_inversions(row, params.item_bits, params.n_samples)
 
 
 def run_circuit(
@@ -193,28 +191,27 @@ def run_circuit(
 
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
-    cannot hold.  Without it, no gate list is built: each step is derived
-    from the instance and the predicate.  Steps 2a and 6 go through the
-    block kernel of `statevector`, as Hadamard blocks and as one
-    reflection block I - 2J/N per sample register.  Only the two rows of
-    incidence value 0, one per ancilla value, ever hold a nonzero
-    amplitude, and every pass skips what holds only zeros: the sample
-    blocks of step 2a and step 6 act on those rows' pieces, the
-    ancilla's Hadamard and step 2b on their slabs.  Steps 3-5, the
-    query, are one pass over ancilla row pairs: an amplitude swaps with
-    its ancilla partner where step 3's net incidence flips (an XOR keyed
-    by the sample registers) reach a value of odd parity under step 4's
-    controls, and a pair of all-zero rows is skipped.  So a search
-    writes only the pages that its live amplitudes occupy.  Each step
-    equals its records up to rounding and the sign of zeros, steps 3-5
-    exactly.  Both runs check the predicate size and the capacity for
+    cannot hold.  Without it, no gate list is built and each step is
+    derived from the instance and the predicate.  The circuit starts from
+    |0...0>, and its query returns the incidence register to 0, so outside
+    the query only the two rows of incidence value 0, one per ancilla
+    value, hold amplitudes.  The run allocates the full state and applies
+    every step to those two rows alone, each a contiguous view of the
+    sample qubits' 2**(item_bits * n_samples) amplitudes; nothing else of
+    the state is read or written.  Step 2a's sample Hadamards and step
+    6's reflections, one block I - 2J/N per register, go through the
+    block kernel of `statevector` on each row; the ancilla's Hadamard and
+    step 2b act on the pair.  Steps 3-5, the query, swap the two rows
+    where step 3's net incidence flips (an XOR keyed by the sample
+    registers) reach a value of odd parity under step 4's controls.  Each
+    step equals its records up to rounding and the sign of zeros, steps
+    3-5 exactly.  Both runs check the predicate size and the capacity for
     the states they keep before they allocate.
     """
     _check_instance(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(params.total_qubits)
     if not capture:
-        for step in ("step2a", "step2b", "step3-5", "step6"):
-            _apply_step(state, params, pred, step)
+        _run_rows(state, params, pred)
         return CircuitRun(final_state=state)
 
     # Records come grouped by step, in order: snapshot each step as the next

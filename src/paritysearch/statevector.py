@@ -1,28 +1,34 @@
 """Minimal dense statevector simulator.
 
 A plain simulator: gates take qubit indices, and no type here knows the
-search instance.  It has the primitives the search circuit needs:
-Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
+search instance or its layout.  It has the primitives the search circuit
+needs: Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
 flips and phase flips, the inversion-about-average operator, marginal
 measurement, and state comparison modulo global phase.  The uncaptured
-circuit uses fused primitives: a kernel of small real blocks (Hadamards
-on up to three qubits, register inversions) that skips the state's
-all-zero pieces and slabs, and the query: an XOR on the high qubits
-keyed by the low ones, twice around a parity-keyed flip of the top
-qubit, applied as the swaps of ancilla row pairs that the three make.
+circuit applies fused primitives to two rows of its state, each a state
+of its own over the same memory: a kernel of small real blocks (Hadamards
+on up to three qubits, register inversions) that skips a row's all-zero
+pieces and slabs, a Hadamard on a qubit whose two halves are two states,
+and the query's swap rule for one such pair (`swap_where_odd`).
+`apply_xor_permutation` applies that rule to every row pair of one state:
+an XOR on the high qubits keyed by the low ones, twice around a
+parity-keyed flip of the top qubit, as the swaps of ancilla row pairs
+that the three make.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
 value or a bit pattern, bit b of the value corresponds to the b-th
-qubit in the list.  Gates mutate the state in place and return it.
+qubit in the list.  Gates mutate the state in place and return it; the
+gates on a pair of states return nothing.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
 slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, one piece of 2**15 at a time), and the query pass's
-indices and swapped values for a chunk of at most a piece.  Every pass
-runs on the calling thread.  The literal inversion about average alone
-holds one register mean per setting of the other qubits.  Before any
-allocation, `check_capacity` refuses past the qubit cap and
+at most 2**12, one piece of 2**15 at a time), and the query's indices
+and swapped values for a chunk of at most a piece, beside its parity
+table of one bool per row or mask value.  The pair Hadamard holds none.
+Every pass runs on the calling thread.  The literal inversion about
+average alone holds one register mean per setting of the other qubits.
+Before any allocation, `check_capacity` refuses past the qubit cap and
 `check_memory` past physical memory.
 """
 
@@ -312,12 +318,50 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     return state
 
 
+def _parity_table(parity_key: int, bits: int) -> np.ndarray:
+    """Whether v AND parity_key has odd parity, for every v below 2**bits,
+    one bit at a time."""
+    odd = np.zeros(1, dtype=bool)
+    for b in range(bits):
+        odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
+    return odd
+
+
+def _swap_odd(
+    lower: np.ndarray, upper: np.ndarray, rows: np.ndarray, masks: np.ndarray,
+    odd: np.ndarray, shift: int,
+) -> None:
+    """The query's swap rule: swap lower[i] and upper[i], i = (rows[k] << shift)
+    + j, wherever odd[rows[k] XOR masks[j]], in place through flat indices.
+    len(masks) is a power of two.  Its temporaries, flat indices and one
+    side's values, take at most 48 bytes per amplitude pair."""
+    swap = np.flatnonzero(odd[rows[:, None] ^ masks])
+    # Mask entry (k, j) is amplitude (rows[k] << shift) + j, and `upper`
+    # holds its partner at the same index.
+    index = (rows << shift)[swap >> (len(masks).bit_length() - 1)]
+    swap &= len(masks) - 1
+    index += swap
+    values = lower.take(index)
+    lower.put(index, upper.take(index))
+    upper.put(index, values)
+
+
+def _check_masks(masks: np.ndarray, width: int, high: int | None = None) -> np.ndarray:
+    """`width` integer masks, each >= 0 and, given `high`, below it, as intp."""
+    masks = np.asarray(masks)
+    if masks.shape != (width,) or masks.dtype.kind not in "iu":
+        raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
+    if masks.min() < 0 or high is not None and masks.max() >= high:
+        raise DomainError("masks must be >= 0" + ("" if high is None else f" and below {high}"))
+    return masks.astype(np.intp, copy=False)
+
+
 def apply_xor_permutation(
     state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int
 ) -> StateVector:
     """Map |h, c> to |h XOR masks[c], c>, flip the top qubit where
     h AND parity_key has odd parity, and map again, in place: steps 3-5
-    of the search, its one query.
+    of the search, its one query, on every row of a state.
 
     c is the value of the lowest `low_qubits` qubits and h that of the
     rest.  The three maps move an amplitude only between row h and its
@@ -326,36 +370,27 @@ def apply_xor_permutation(
     key have odd parity, and the second map takes it back.  So for each
     h below half the pass swaps rows h and h + half on the columns c
     where h XOR masks[c] has odd parity under the key: the maps composed
-    as index arithmetic, not applied one after another.
+    as index arithmetic, not applied one after another.  `swap_where_odd`
+    applies the same rule to one row pair held as two states.
 
     Row pairs go in chunks of at most a piece: whole pairs, or columns of
     one pair where a row is longer than half a piece.  A pair that holds
     no nonzero value is skipped, tested as `_nonzero` tests a chunk (a
     prefix first) but row by row in one call; the chunk's live pairs swap
-    in place through flat indices.  Its temporaries, flat indices and
-    one side's values, take at most 48 bytes per amplitude pair.
+    in place (see `_swap_odd`).
     """
     if not 0 <= low_qubits <= state.n_qubits:
         raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
-    masks = np.asarray(masks)
     high, width = 1 << (state.n_qubits - low_qubits), 1 << low_qubits
-    if masks.shape != (width,) or masks.dtype.kind not in "iu":
-        raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
-    if masks.min() < 0 or masks.max() >= high:
-        raise DomainError(f"masks must lie in 0..{high - 1}")
+    masks = _check_masks(masks, width, high)
     if not 0 <= parity_key < high // 2:
         raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
-    masks = masks.astype(np.intp, copy=False)
-    # The parity of h AND parity_key for every row h, one bit at a time.
-    odd = np.zeros(1, dtype=bool)
-    for b in range(state.n_qubits - low_qubits):
-        odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
+    odd = _parity_table(parity_key, state.n_qubits - low_qubits)
     half = high // 2
     grid = state.amplitudes.reshape(high, width)
     upper = state.amplitudes[half * width :]
     cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
     rows = min(half, max(_PIECE_AMPLITUDES // (2 * width), 1))
-    shift = cols.bit_length() - 1
     for h in range(0, half, rows):
         for c in range(0, width, cols):
             pair = grid[h : h + rows, c : c + cols], grid[h + half : h + half + rows, c : c + cols]
@@ -363,19 +398,49 @@ def apply_xor_permutation(
             if not live.all():
                 live = pair[0].any(1) | pair[1].any(1)
             live = np.flatnonzero(live) + h
-            if not live.size:
-                continue
-            swap = np.flatnonzero(odd[live[:, None] ^ masks[c : c + cols]])
-            # Mask entry (k, j) is amplitude (live[k] << low_qubits) + c + j,
-            # and `upper` holds its partner at the same index.
-            index = (live << low_qubits)[swap >> shift]
-            index += c
-            swap &= cols - 1
-            index += swap
-            lower = state.amplitudes.take(index)
-            state.amplitudes.put(index, upper.take(index))
-            upper.put(index, lower)
+            if live.size:
+                _swap_odd(state.amplitudes[c:], upper[c:], live, masks[c : c + cols], odd,
+                          low_qubits)
     return state
+
+
+def swap_where_odd(
+    lower: StateVector, upper: StateVector, masks: np.ndarray, parity_key: int
+) -> None:
+    """Swap the two states' amplitudes at each index c where masks[c] AND
+    parity_key has odd parity, in place, half a piece of each at a time.
+
+    This is `apply_xor_permutation`'s rule for one row pair, h = 0, with
+    the pair's rows held as two states of equal size.  Its parity table
+    holds one bool per value up to the largest mask.
+    """
+    if lower.n_qubits != upper.n_qubits:
+        raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
+    if parity_key < 0:
+        raise DomainError(f"parity key {parity_key} must be >= 0")
+    width = lower.amplitudes.size
+    masks = _check_masks(masks, width)
+    odd = _parity_table(parity_key, int(masks.max()).bit_length())
+    cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
+    row = np.zeros(1, dtype=np.intp)
+    for c in range(0, width, cols):
+        _swap_odd(lower.amplitudes[c:], upper.amplitudes[c:], row, masks[c : c + cols], odd, 0)
+
+
+def apply_pair_hadamard(lower: StateVector, upper: StateVector) -> None:
+    """Apply a Hadamard on a qubit whose 0 and 1 halves are the two
+    states, in place, half a piece of each at a time, with
+    `apply_hadamard`'s arithmetic."""
+    if lower.n_qubits != upper.n_qubits:
+        raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
+    cols = max(_PIECE_AMPLITUDES // 2, 1)
+    for c in range(0, lower.amplitudes.size, cols):
+        lo, hi = lower.amplitudes[c : c + cols], upper.amplitudes[c : c + cols]
+        lo += hi
+        hi *= -2.0
+        hi += lo
+        lo *= _INV_SQRT2
+        hi *= _INV_SQRT2
 
 
 def apply_sigma_z(state: StateVector, qubit: int) -> StateVector:

@@ -7,8 +7,12 @@ test.
 
 import itertools
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from functools import reduce
+from pathlib import Path
 
 import numpy as np
 
@@ -193,3 +197,28 @@ def exact_success_fraction(n_items: int, marks, n_samples: int, tie_break: str) 
                         * weight[True] ** (m * (1 + k1)) * weight[False] ** (m * k2))
                 total += Fraction(t * ways * (free[left] if left < len(free) else 0), tied)
     return total / n_items ** (3 * eta)
+
+
+def peak_rss_growth(setup: str, measured: str) -> int:
+    """Bytes by which the peak RSS of a fresh interpreter grows while it
+    runs the code `measured`, after the code `setup`.
+
+    Linux keeps, in a process's peak, the peak of the memory map it
+    replaced at exec: a child of the test process would start at the
+    test run's peak and hide any growth below it.  So the code runs in a
+    grandchild, spawned by a bare interpreter whose own peak lies below
+    that of any interpreter that has imported numpy.
+    """
+    code = (
+        f"import resource\n{setup}\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        f"{measured}\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    launcher = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run([sys.executable, "-c", launcher, sys.executable, "-c", code],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout) * 1024  # ru_maxrss counts KiB

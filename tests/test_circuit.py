@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import expected_full_state
+from helpers import expected_full_state, peak_rss_growth
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +26,7 @@ from paritysearch import (
     run_search,
 )
 from paritysearch import statevector as sv
-from paritysearch.circuit import _apply_step, _occurrence_masks, _sample_marginal, apply_record
+from paritysearch.circuit import _occurrence_masks, _sample_marginal, apply_record
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
@@ -300,9 +300,10 @@ class TestQueryPass:
         for record in build_circuit(params, pred):
             if record.step in ("step3", "step4", "step5"):
                 apply_record(literal, record)
+        low = params.item_bits * eta
         for _ in runs:
-            fused = start.copy()
-            _apply_step(fused, params, pred, "step3-5")
+            fused = sv.apply_xor_permutation(start.copy(), low, _occurrence_masks(params),
+                                             pred.to_mask())
             assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
     # Pieces of 8 and 16 amplitudes cut even the smallest state into many
@@ -327,13 +328,71 @@ class TestQueryPass:
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
     def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
-        # Step 4 rides inside the pass: no flip runs on its own.
+        # Step 4 rides inside the row pair's swaps: no flip runs on its own.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
-        xor = sv.apply_xor_permutation
-        monkeypatch.setattr(sv, "apply_xor_permutation", lambda *a: calls.append(a[3]) or xor(*a))
+        swap = sv.swap_where_odd
+        monkeypatch.setattr(sv, "swap_where_odd", lambda *a: calls.append(a[3]) or swap(*a))
         run_circuit(SearchParameters(4, 2), BooleanPredicate.from_marks(4, [1, 3]))
         assert calls == [0b101]
+
+
+# A signalling NaN: arithmetic on it sets its quiet bit, so any pass that
+# reads it into a gate changes its bytes, while copies keep them.
+SENTINEL = np.uint64(0x7FF0_0000_0000_0BAD)
+
+
+class TestLiveRows:
+    """The uncaptured run applies every step to the two rows where the
+    incidence register reads 0, in place, and to nothing else."""
+
+    # Rows of 2**16 amplitudes (two pieces), 2**12, 2**9 and 2**4, the
+    # last in 2**17 rows.
+    @pytest.mark.parametrize("n, eta", [(2, 16), (4, 6), (8, 3), (16, 1)])
+    def test_uncaptured_run_writes_nothing_off_its_rows(self, n, eta, monkeypatch):
+        # Every word off the two rows starts as the sentinel and must come
+        # back unchanged: a pass over the whole state, even one that skips
+        # zeros, would find it nonzero and change it.
+        params = SearchParameters(n, eta)
+        pred = BooleanPredicate.from_marks(n, {1} | scattered(n))
+        width = 2 << (params.item_bits * eta)  # words per row
+        normal = run_circuit(params, pred).final_state.amplitudes.view(np.uint64)
+        zero_state = sv.zero_state
+
+        def sentinel_state(n_qubits):
+            state = zero_state(n_qubits)
+            state.amplitudes.view(np.uint64).reshape(2, -1, width)[:, 1:] = SENTINEL
+            return state
+
+        monkeypatch.setattr(sv, "zero_state", sentinel_state)
+        words = run_circuit(params, pred).final_state.amplitudes.view(np.uint64)
+        rows, normal_rows = words.reshape(2, -1, width), normal.reshape(2, -1, width)
+        assert (rows[:, 1:] == SENTINEL).all()
+        assert np.array_equal(rows[:, 0], normal_rows[:, 0])
+        assert not normal_rows[:, 1:].any()
+
+    def test_rows_are_not_copied(self):
+        # A 21-qubit search at N=2 (eta=18) holds a 32 MiB state whose two
+        # live rows are 4 MiB each.  Its peak RSS may grow past a warm-up
+        # with rows of one piece by less than the two rows plus a piece: a
+        # copy of the rows, as a state of their own, would double that.
+        # NumPy's huge-page advice is off, so pages are counted as they are
+        # written, not rounded up to 2 MiB frames.
+        growth = peak_rss_growth(
+            "try:\n"
+            "    from numpy._core.multiarray import _set_madvise_hugepage\n"
+            "except ImportError:\n"
+            "    from numpy.core.multiarray import _set_madvise_hugepage\n"
+            "_set_madvise_hugepage(False)\n"
+            "from paritysearch import BooleanPredicate, SearchParameters, run_circuit\n"
+            "from paritysearch.circuit import _occurrence_masks\n"
+            "pred = BooleanPredicate(2, frozenset({1}))\n"
+            "run_circuit(SearchParameters(2, 15), pred)\n"
+            "params = SearchParameters(2, 18)\n"
+            "_occurrence_masks(params)",
+            "run_circuit(params, pred)",
+        )
+        assert growth < 2 * (16 << 18) + (16 << 15)
 
 
 class TestMeasurement:
