@@ -373,9 +373,10 @@ class TestLiveRows:
 
     def test_rows_are_not_copied(self):
         # A 21-qubit search at N=2 (eta=18) holds a 32 MiB state whose two
-        # live rows are 4 MiB each.  Its peak RSS may grow past a warm-up
-        # with rows of one piece by less than the two rows plus a piece: a
-        # copy of the rows, as a state of their own, would double that.
+        # live rows are 4 MiB each.  With its masks cached, its peak RSS
+        # may grow past a warm-up with rows of one piece by less than the
+        # two rows plus a piece: a copy of the rows, as a state of their
+        # own, would double that.
         # NumPy's huge-page advice is off, so pages are counted as they are
         # written, not rounded up to 2 MiB frames.
         growth = peak_rss_growth(
