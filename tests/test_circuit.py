@@ -376,15 +376,12 @@ class TestLiveRows:
         # live rows are 4 MiB each.  With its masks cached, its peak RSS
         # may grow past a warm-up with rows of one piece by less than the
         # two rows plus a piece: a copy of the rows, as a state of their
-        # own, would double that.
-        # NumPy's huge-page advice is off, so pages are counted as they are
-        # written, not rounded up to 2 MiB frames.
+        # own, would double that.  The process turns transparent huge
+        # pages off for itself (prctl PR_SET_THP_DISABLE), so pages are
+        # counted as they are written, not rounded up to 2 MiB frames.
         growth = peak_rss_growth(
-            "try:\n"
-            "    from numpy._core.multiarray import _set_madvise_hugepage\n"
-            "except ImportError:\n"
-            "    from numpy.core.multiarray import _set_madvise_hugepage\n"
-            "_set_madvise_hugepage(False)\n"
+            "import ctypes\n"
+            "assert ctypes.CDLL(None, use_errno=True).prctl(41, 1, 0, 0, 0) == 0\n"
             "from paritysearch import BooleanPredicate, SearchParameters, run_circuit\n"
             "from paritysearch.circuit import _occurrence_masks\n"
             "pred = BooleanPredicate(2, frozenset({1}))\n"
