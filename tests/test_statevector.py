@@ -649,7 +649,7 @@ class TestRowPair:
 
     @pytest.mark.parametrize("piece", [1 << 1, 1 << 4, 1 << 15])
     @pytest.mark.parametrize("n", [1, 5, 16])
-    def test_pair_hadamard_is_the_top_qubits(self, n, piece, monkeypatch):
+    def test_pair_hadamard_is_apply_hadamard_on_the_top_qubit(self, n, piece, monkeypatch):
         monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
         state = random_state(n + 1, seed=n)
         lower, upper = (StateVector(n, half.copy()) for half in state.amplitudes.reshape(2, -1))
