@@ -171,12 +171,12 @@ def _run_rows(state: StateVector, params: SearchParameters, pred: BooleanPredica
     other nonzero amplitude outside the query."""
     k = params.item_bits * params.n_samples
     lower, upper = (StateVector(k, row) for row in state.amplitudes.reshape(2, -1, 1 << k)[:, 0])
-    for row in (lower, upper):
-        sv.apply_hadamards(row, range(k))
+    # Step 2a: the upper row holds only zeros until the ancilla's Hadamard.
+    sv.apply_hadamards(lower, range(k))
     sv.apply_pair_hadamard(lower, upper)  # the ancilla's Hadamard
     upper.amplitudes *= -1.0  # step 2b
     # Steps 3-5: the rows swap where the net incidence flips reach a value
-    # of odd parity under step 4's controls (`apply_xor_permutation`, h = 0).
+    # of odd parity under step 4's controls.
     sv.swap_where_odd(lower, upper, _occurrence_masks(params), pred.to_mask())
     for row in (lower, upper):
         sv.apply_register_inversions(row, params.item_bits, params.n_samples)
@@ -198,15 +198,16 @@ def run_circuit(
     value, hold amplitudes.  The run allocates the full state and applies
     every step to those two rows alone, each a contiguous view of the
     sample qubits' 2**(item_bits * n_samples) amplitudes; nothing else of
-    the state is read or written.  Step 2a's sample Hadamards and step
-    6's reflections, one block I - 2J/N per register, go through the
-    block kernel of `statevector` on each row; the ancilla's Hadamard and
-    step 2b act on the pair.  Steps 3-5, the query, swap the two rows
-    where step 3's net incidence flips (an XOR keyed by the sample
-    registers) reach a value of odd parity under step 4's controls.  Each
-    step equals its records up to rounding and the sign of zeros, steps
-    3-5 exactly.  Both runs check the predicate size and the capacity for
-    the states they keep before they allocate.
+    the state is read or written.  Step 2a's sample Hadamards (on the
+    lower row, as the upper holds only zeros until the ancilla's
+    Hadamard) and step 6's reflections, one block I - 2J/N per register
+    on each row, go through the block kernel of `statevector`; the
+    ancilla's Hadamard and step 2b act on the pair.  Steps 3-5, the
+    query, swap the two rows where step 3's net incidence flips (an XOR
+    keyed by the sample registers) reach a value of odd parity under
+    step 4's controls.  Each step equals its records up to rounding and
+    the sign of zeros, steps 3-5 exactly.  Both runs check the predicate
+    size and the capacity for the states they keep before they allocate.
     """
     _check_instance(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(params.total_qubits)

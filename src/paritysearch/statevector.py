@@ -9,11 +9,7 @@ circuit applies fused primitives to two rows of its state, each a state
 of its own over the same memory: a kernel of small real blocks (Hadamards
 on up to three qubits, register inversions) that skips a row's all-zero
 pieces and slabs, a Hadamard on a qubit whose two halves are two states,
-and the query's swap rule for one such pair (`swap_where_odd`).
-`apply_xor_permutation` applies that rule to every row pair of one state:
-an XOR on the high qubits keyed by the low ones, twice around a
-parity-keyed flip of the top qubit, as the swaps of ancilla row pairs
-that the three make.
+and the query for one such pair (`swap_where_odd`), its one form.
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -23,9 +19,10 @@ gates on a pair of states return nothing.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
 slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, one piece of 2**15 at a time), and the query's indices
-and swapped values for a chunk of at most a piece, beside its parity
-table of one bool per row or mask value.  The pair Hadamard holds none.
+at most 2**12, one piece of 2**15 at a time), and the query's swap
+indices and swapped values for half a piece, beside its parity table of
+one bool per mask value.  The pair Hadamard holds none; sigma_z and the
+one-qubit Hadamard, one strided pass each, only NumPy's fixed buffers.
 Every pass runs on the calling thread.  The literal inversion about
 average alone holds one register mean per setting of the other qubits.
 Before any allocation, `check_capacity` refuses past the qubit cap and
@@ -58,8 +55,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
 _BATCH_AMPLITUDES = 1 << 13
-# Amplitudes per piece for the blocks, sigma_z and the query pass: about
-# a level-2 cache, and enough to amortise the Python loop.
+# Amplitudes per piece for the blocks and the pair gates: about a
+# level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
 # A block widened to rows of at most this many floats beats the block
 # times short slices (see `_apply_block`).
@@ -327,92 +324,32 @@ def _parity_table(parity_key: int, bits: int) -> np.ndarray:
     return odd
 
 
-def _swap_odd(
-    lower: np.ndarray, upper: np.ndarray, rows: np.ndarray, masks: np.ndarray,
-    odd: np.ndarray, shift: int,
-) -> None:
-    """The query's swap rule: swap lower[i] and upper[i], i = (rows[k] << shift)
-    + j, wherever odd[rows[k] XOR masks[j]], in place through flat indices.
-    len(masks) is a power of two.  Its temporaries, flat indices and one
-    side's values, take at most 48 bytes per amplitude pair."""
-    swap = np.flatnonzero(odd[rows[:, None] ^ masks])
-    # Mask entry (k, j) is amplitude (rows[k] << shift) + j, and `upper`
-    # holds its partner at the same index.
-    index = (rows << shift)[swap >> (len(masks).bit_length() - 1)]
-    swap &= len(masks) - 1
-    index += swap
-    values = lower.take(index)
-    lower.put(index, upper.take(index))
-    upper.put(index, values)
-
-
-def _check_masks(masks: np.ndarray, width: int, high: int | None = None) -> np.ndarray:
-    """`width` integer masks, each >= 0 and, given `high`, below it, as intp."""
+def _check_masks(masks: np.ndarray, width: int) -> np.ndarray:
+    """`width` integer masks, each >= 0, as intp."""
     masks = np.asarray(masks)
     if masks.shape != (width,) or masks.dtype.kind not in "iu":
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
-    if masks.min() < 0 or high is not None and masks.max() >= high:
-        raise DomainError("masks must be >= 0" + ("" if high is None else f" and below {high}"))
+    if masks.min() < 0:
+        raise DomainError("masks must be >= 0")
     return masks.astype(np.intp, copy=False)
-
-
-def apply_xor_permutation(
-    state: StateVector, low_qubits: int, masks: np.ndarray, parity_key: int
-) -> StateVector:
-    """Map |h, c> to |h XOR masks[c], c>, flip the top qubit where
-    h AND parity_key has odd parity, and map again, in place: steps 3-5
-    of the search, its one query, on every row of a state.
-
-    c is the value of the lowest `low_qubits` qubits and h that of the
-    rest.  The three maps move an amplitude only between row h and its
-    partner across the top qubit, h XOR half: the first takes (h, c) to
-    row h XOR masks[c], the flip crosses where that row's bits under the
-    key have odd parity, and the second map takes it back.  So for each
-    h below half the pass swaps rows h and h + half on the columns c
-    where h XOR masks[c] has odd parity under the key: the maps composed
-    as index arithmetic, not applied one after another.  `swap_where_odd`
-    applies the same rule to one row pair held as two states.
-
-    Row pairs go in chunks of at most a piece: whole pairs, or columns of
-    one pair where a row is longer than half a piece.  A pair that holds
-    no nonzero value is skipped, tested as `_nonzero` tests a chunk (a
-    prefix first) but row by row in one call; the chunk's live pairs swap
-    in place (see `_swap_odd`).
-    """
-    if not 0 <= low_qubits <= state.n_qubits:
-        raise DomainError(f"low qubit count {low_qubits} outside 0..{state.n_qubits}")
-    high, width = 1 << (state.n_qubits - low_qubits), 1 << low_qubits
-    masks = _check_masks(masks, width, high)
-    if not 0 <= parity_key < high // 2:
-        raise DomainError(f"parity key {parity_key} must lie below the top of {high} rows")
-    odd = _parity_table(parity_key, state.n_qubits - low_qubits)
-    half = high // 2
-    grid = state.amplitudes.reshape(high, width)
-    upper = state.amplitudes[half * width :]
-    cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
-    rows = min(half, max(_PIECE_AMPLITUDES // (2 * width), 1))
-    for h in range(0, half, rows):
-        for c in range(0, width, cols):
-            pair = grid[h : h + rows, c : c + cols], grid[h + half : h + half + rows, c : c + cols]
-            live = pair[0][:, :64].any(1) | pair[1][:, :64].any(1)
-            if not live.all():
-                live = pair[0].any(1) | pair[1].any(1)
-            live = np.flatnonzero(live) + h
-            if live.size:
-                _swap_odd(state.amplitudes[c:], upper[c:], live, masks[c : c + cols], odd,
-                          low_qubits)
-    return state
 
 
 def swap_where_odd(
     lower: StateVector, upper: StateVector, masks: np.ndarray, parity_key: int
 ) -> None:
     """Swap the two states' amplitudes at each index c where masks[c] AND
-    parity_key has odd parity, in place, half a piece of each at a time.
+    parity_key has odd parity, in place, half a piece of each at a time:
+    steps 3-5 of the search, its one query, on its live row pair.
 
-    This is `apply_xor_permutation`'s rule for one row pair, h = 0, with
-    the pair's rows held as two states of equal size.  Its parity table
-    holds one bool per value up to the largest mask.
+    The pair is the two rows of a qubit above the others (the ancilla),
+    held as two states of equal size, where the register between them
+    reads 0.  The query maps that register from 0 to masks[c], flips
+    the ancilla where the value has odd parity under the key, and maps
+    back, so column c's amplitudes cross between the rows exactly where
+    masks[c] has odd parity: the three maps composed as index arithmetic.
+    Its parity table holds one bool per value up to the largest mask;
+    each chunk's swap indices and two copies of one side's values take
+    at most 40 bytes per amplitude pair.
     """
     if lower.n_qubits != upper.n_qubits:
         raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
@@ -422,9 +359,12 @@ def swap_where_odd(
     masks = _check_masks(masks, width)
     odd = _parity_table(parity_key, int(masks.max()).bit_length())
     cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
-    row = np.zeros(1, dtype=np.intp)
     for c in range(0, width, cols):
-        _swap_odd(lower.amplitudes[c:], upper.amplitudes[c:], row, masks[c : c + cols], odd, 0)
+        index = np.flatnonzero(odd[masks[c : c + cols]])
+        index += c
+        values = lower.amplitudes.take(index)
+        lower.amplitudes.put(index, upper.amplitudes.take(index))
+        upper.amplitudes.put(index, values)
 
 
 def apply_pair_hadamard(lower: StateVector, upper: StateVector) -> None:
@@ -444,17 +384,9 @@ def apply_pair_hadamard(lower: StateVector, upper: StateVector) -> None:
 
 
 def apply_sigma_z(state: StateVector, qubit: int) -> StateVector:
-    """Negate amplitudes of basis states with the qubit set, skipping
-    chunks of at most a piece that hold no nonzero value (see `_nonzero`)."""
+    """Negate amplitudes of basis states with the qubit set, in place."""
     _check_qubit(state, qubit)
-    v = state.amplitudes.reshape(-1, 2, 1 << qubit)
-    rows = max(_PIECE_AMPLITUDES >> qubit, 1)
-    cols = min(1 << qubit, _PIECE_AMPLITUDES)
-    for r in range(0, len(v), rows):
-        for c in range(0, v.shape[2], cols):
-            chunk = v[r : r + rows, 1, c : c + cols]
-            if _nonzero(chunk):
-                chunk *= -1.0
+    state.amplitudes.reshape(-1, 2, 1 << qubit)[:, 1] *= -1.0
     return state
 
 

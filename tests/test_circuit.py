@@ -286,32 +286,38 @@ QUERY_CASES = [
 
 
 class TestQueryPass:
-    """Steps 3-5 applied as one pass change the same bytes as their literal
-    records, from any state, whatever the piece size."""
+    """Steps 3-5 applied as the swaps of one row pair change the same bytes
+    as their literal records, from any state that holds amplitudes on
+    that pair alone, whatever the piece size."""
 
     @staticmethod
     def literal_and_fused(n, eta, marks, seed, runs):
+        # The pair is the rows where the incidence register reads 0, one
+        # per ancilla value, as `run_circuit` finds them.
         params = SearchParameters(n, eta)
         pred = BooleanPredicate(n, marks)
+        k = params.item_bits * eta
         rng = np.random.default_rng(seed)
-        size = 1 << params.total_qubits
-        literal = StateVector(params.total_qubits, rng.normal(size=size) + 1j * rng.normal(size=size))
+        literal = StateVector(params.total_qubits, np.zeros(1 << params.total_qubits))
+        rows = literal.amplitudes.reshape(2, -1, 1 << k)[:, 0]
+        rows[...] = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
         start = literal.copy()
         for record in build_circuit(params, pred):
             if record.step in ("step3", "step4", "step5"):
                 apply_record(literal, record)
-        low = params.item_bits * eta
         for _ in runs:
-            fused = sv.apply_xor_permutation(start.copy(), low, _occurrence_masks(params),
-                                             pred.to_mask())
+            fused = start.copy()
+            pair = fused.amplitudes.reshape(2, -1, 1 << k)[:, 0]
+            lower, upper = (StateVector(k, row) for row in pair)
+            sv.swap_where_odd(lower, upper, _occurrence_masks(params), pred.to_mask())
             assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
-    # Pieces of 8 and 16 amplitudes cut even the smallest state into many
-    # chunks, down to part of one row pair each.
+    # Pieces of 2, 8 and 16 amplitudes cut even the smallest row pair into
+    # many chunks, down to one column each.
     @pytest.mark.parametrize("n, eta, marks", QUERY_CASES)
     def test_matches_records(self, n, eta, marks, monkeypatch):
         def runs():
-            for piece in (sv._PIECE_AMPLITUDES, 1 << 3, 1 << 4):
+            for piece in (sv._PIECE_AMPLITUDES, 1 << 1, 1 << 3, 1 << 4):
                 monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
                 yield
 
@@ -323,7 +329,7 @@ class TestQueryPass:
         n, max_eta = data.draw(st.sampled_from([(2, 6), (4, 3), (8, 2)]))
         eta = data.draw(st.integers(1, max_eta))
         marks = data.draw(st.frozensets(st.integers(1, n)))
-        piece = data.draw(st.sampled_from([1 << 3, 1 << 4, 1 << 6, 1 << 15]))
+        piece = data.draw(st.sampled_from([1 << 1, 1 << 3, 1 << 4, 1 << 6, 1 << 15]))
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
@@ -345,6 +351,19 @@ SENTINEL = np.uint64(0x7FF0_0000_0000_0BAD)
 class TestLiveRows:
     """The uncaptured run applies every step to the two rows where the
     incidence register reads 0, in place, and to nothing else."""
+
+    def test_step_2a_makes_one_hadamards_call(self, monkeypatch):
+        # Only the lower row holds a nonzero amplitude before the
+        # ancilla's Hadamard, so the sample Hadamards run on it alone.
+        calls = []
+        hadamards = sv.apply_hadamards
+        monkeypatch.setattr(sv, "apply_hadamards",
+                            lambda row, qubits: calls.append(row) or hadamards(row, qubits))
+        params = SearchParameters(4, 3)
+        final = run_circuit(params, BooleanPredicate.from_marks(4, [2])).final_state
+        assert len(calls) == 1
+        assert calls[0].n_qubits == params.item_bits * params.n_samples
+        assert calls[0].amplitudes.ctypes.data == final.amplitudes.ctypes.data
 
     # Rows of 2**16 amplitudes (two pieces), 2**12, 2**9 and 2**4, the
     # last in 2**17 rows.

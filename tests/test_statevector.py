@@ -37,7 +37,6 @@ from paritysearch.statevector import (
     apply_sigma_z,
     apply_value_controlled_flip,
     apply_value_controlled_phase,
-    apply_xor_permutation,
     fidelity_mod_phase,
     marginal_distribution,
     swap_where_odd,
@@ -52,6 +51,27 @@ def random_state(n_qubits: int, seed: int) -> StateVector:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(n_qubits, amps)
+
+
+def halves(state: StateVector) -> tuple[StateVector, StateVector]:
+    """The state's halves across its top qubit, as two states over its memory."""
+    return tuple(StateVector(state.n_qubits - 1, half) for half in state.amplitudes.reshape(2, -1))
+
+
+def row_pair(state: StateVector, low: int) -> tuple[StateVector, StateVector]:
+    """Rows 0 and half of the state cut into rows of 2**low amplitudes,
+    the pair h = 0 across the top qubit, as two states over its memory:
+    where a search keeps its two live rows."""
+    rows = state.amplitudes.reshape(2, -1, 1 << low)[:, 0]
+    return tuple(StateVector(low, row) for row in rows)
+
+
+def row_pair_state(n_qubits: int, low: int, seed: int):
+    """A state random on its row pair h = 0 (see `row_pair`) and zero
+    elsewhere, and that pair."""
+    state = random_state(n_qubits, seed)
+    state.amplitudes.reshape(2, -1, 1 << low)[:, 1:] = 0.0
+    return state, row_pair(state, low)
 
 
 class TestZeroState:
@@ -374,9 +394,8 @@ class TestFusedPrimitives:
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         self.check_query_pass(n, low, key, dtype, seed)
 
-    # With pieces of 8 or 16 amplitudes the row pairs go in several
-    # chunks, down to part of one pair per chunk; with the default piece,
-    # in one.
+    # With pieces of 8 or 16 amplitudes the row pair goes in several
+    # chunks of a few columns; with the default piece, in one.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=40)
     @given(seed=st.integers(0, 10_000), data=st.data())
@@ -407,29 +426,15 @@ class TestFusedPrimitives:
 
     @classmethod
     def check_query_pass(cls, n, low, key, dtype, seed):
+        """`swap_where_odd` on the row pair h = 0 of an n-qubit state that
+        is random on that pair and zero elsewhere, against the oracle on
+        the whole state."""
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        state = random_state(n, seed)
+        state, pair = row_pair_state(n, low, seed)
         expected = cls.query_oracle(state, low, masks, key)
-        apply_xor_permutation(state, low, masks.astype(dtype), key)
+        swap_where_odd(*pair, masks.astype(dtype), key)
         assert np.array_equal(state.amplitudes, expected)
-
-    def test_xor_permutation_rejects_bad_masks(self):
-        state = zero_state(4)
-        with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.zeros(3, dtype=int), 0)
-        with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.array([0, 1, 2, 4]), 0)
-        with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.array([0, -1, 2, 3]), 0)
-        with pytest.raises(DomainError):
-            apply_xor_permutation(state, 2, np.zeros(4), 0)
-        with pytest.raises(DomainError):
-            apply_xor_permutation(state, 5, np.zeros(32, dtype=int), 0)
-        # The key picks bits below the top high qubit, which it flips.
-        for low, key in [(2, 2), (2, -1), (4, 0)]:
-            with pytest.raises(DomainError, match="parity key"):
-                apply_xor_permutation(state, low, np.zeros(1 << low, dtype=int), key)
 
 
 def sparse_state() -> StateVector:
@@ -560,38 +565,7 @@ class TestZeroPieces:
 
 
 class TestLiveAmplitudes:
-    """The query pass and sigma_z skip what holds no nonzero value: row
-    pairs of the query, chunks of at most a piece for sigma_z."""
-
-    # Rows of one piece (low=15), half a piece (14) and an eighth (12).
-    # At low=15 pieces {1, 5} are a dead pair, row 5 holding -0.0; at
-    # low=14 rows {2, 3, 10, 11} and {4, 12} too, row 4 being piece 2's
-    # zero half.
-    @pytest.mark.parametrize("low", [15, 14, 12])
-    def test_query_pass_keeps_dead_row_pairs(self, low):
-        state = sparse_state()
-        high = 1 << (state.n_qubits - low)
-        rng = np.random.default_rng(low)
-        masks = rng.integers(0, high, size=1 << low)
-        key = high // 2 - 1
-        pairs = state.amplitudes.reshape(2, high // 2, -1)
-        dead = np.flatnonzero(~pairs.any(axis=(0, 2)))
-        before = pairs[:, dead].copy()
-        expected = TestFusedPrimitives.query_oracle(state, low, masks, key)
-        apply_xor_permutation(state, low, masks, key)
-        assert np.array_equal(state.amplitudes, expected)
-        assert before.tobytes() == pairs[:, dead].tobytes()
-        assert np.signbit(before.view(np.float64)).any()
-
-    def test_sigma_z_keeps_dead_chunks(self):
-        # Pieces 4-7 are the top qubit's half; 4 and 6 hold +0.0, 5 -0.0.
-        state = sparse_state()
-        expected = -state.amplitudes.reshape(8, -1)[[7]]
-        apply_sigma_z(state, 17)
-        pieces = state.amplitudes.reshape(8, -1)
-        assert not np.signbit(pieces[[4, 6]].view(np.float64)).any()
-        assert np.signbit(pieces[5].view(np.float64)).all()
-        assert np.array_equal(pieces[[7]], expected)
+    """A search touches only its live amplitudes, on the calling thread."""
 
     def test_search_starts_no_thread(self):
         # 17 qubits (N=2, eta=14): four pieces.
@@ -617,8 +591,9 @@ class TestRowPair:
     size: the query's swap rule for one row pair, and the Hadamard."""
 
     # The pair is rows 0 and 8 of 16 (4 high qubits): with no other row
-    # live, the full-state pass swaps only that pair.  Pieces of 8 and 16
-    # amplitudes cut its 2**low columns into many chunks.
+    # live, the index oracle of the query on the whole state moves only
+    # that pair's amplitudes.  Pieces of 8 and 16 amplitudes cut its
+    # 2**low columns into many chunks.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000), data=st.data())
@@ -627,12 +602,10 @@ class TestRowPair:
         key = data.draw(st.integers(0, 7))
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 16, size=1 << low)
-        state = random_state(low + 4, seed)
-        grid = state.amplitudes.reshape(16, -1)
-        grid[[r for r in range(16) if r % 8]] = 0.0
-        lower, upper = (StateVector(low, grid[r].copy()) for r in (0, 8))
+        state, pair = row_pair_state(low + 4, low, seed)
+        grid = TestFusedPrimitives.query_oracle(state, low, masks, key).reshape(16, -1)
+        lower, upper = (StateVector(low, row.amplitudes.copy()) for row in pair)
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            apply_xor_permutation(state, low, masks, key)
             swap_where_odd(lower, upper, masks, key)
         assert np.array_equal(lower.amplitudes, grid[0])
         assert np.array_equal(upper.amplitudes, grid[8])
@@ -672,16 +645,16 @@ class TestRowPair:
 
 
 class TestXorWorkers:
-    """The query pass runs in the calling thread and starts no worker; it
-    divides the row pairs into chunks of at most a piece.  How it divides
+    """The query runs in the calling thread and starts no worker; it
+    divides the row pair into chunks of half a piece.  How it divides
     them changes no byte, and passes in other threads do not disturb it."""
 
     # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
     LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
 
-    # Pieces of 2**9 amplitudes cut every row pair of these layouts into
-    # several chunks; the default piece takes whole pairs or fewer cuts.
-    # Both match the index oracle.
+    # Pieces of 2**9 amplitudes cut the row pair of every layout into
+    # many chunks; the default piece into fewer, or one.  Both match the
+    # index oracle.
     @pytest.mark.parametrize("n_items, eta", LAYOUTS)
     def test_split_is_exact(self, n_items, eta, monkeypatch):
         params = SearchParameters(n_items, eta)
@@ -690,12 +663,12 @@ class TestXorWorkers:
         masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
         key = int(rng.integers(1 << n_items))
         expected = TestFusedPrimitives.query_oracle(
-            random_state(params.total_qubits, seed=eta), low, masks, key
+            row_pair_state(params.total_qubits, low, eta)[0], low, masks, key
         )
         for piece in (sv._PIECE_AMPLITUDES, 1 << 9):
             monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-            state = random_state(params.total_qubits, seed=eta)
-            apply_xor_permutation(state, low, masks, key)
+            state, pair = row_pair_state(params.total_qubits, low, eta)
+            swap_where_odd(*pair, masks, key)
             assert np.array_equal(state.amplitudes, expected)
 
     # With pieces of 2 amplitudes every chunk is one amplitude pair.
@@ -707,19 +680,26 @@ class TestXorWorkers:
             TestFusedPrimitives.check_query_pass(n, low, key, np.int64, seed)
 
     def test_split_under_fast_thread_switches(self, monkeypatch):
-        # Two threads run the pass on states of their own while the
+        # Two threads run the query on states of their own while the
         # interpreter switches threads every microsecond.  With pieces of
-        # 8 amplitudes a 12-qubit state takes 512 chunks; any state shared
-        # between the calls would break equality with the one-thread result.
+        # 8 amplitudes the halves of a 12-qubit state take 512 chunks; any
+        # state shared between the calls would break equality with the
+        # one-thread result.
         monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
-        n, low = 12, 10
-        masks = np.random.default_rng(5).integers(0, 1 << (n - low), size=1 << low)
-        expected = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
+        n = 12
+        masks = np.random.default_rng(5).integers(0, 1 << 10, size=1 << (n - 1))
+
+        def swapped():
+            state = random_state(n, seed=5)
+            swap_where_odd(*halves(state), masks, 1)
+            return state
+
+        expected = swapped()
         results = []
 
         def run():
             for _ in range(20):
-                state = apply_xor_permutation(random_state(n, seed=5), low, masks, 1)
+                state = swapped()
                 results.append(np.array_equal(state.amplitudes, expected.amplitudes))
 
         interval = sys.getswitchinterval()
@@ -743,15 +723,15 @@ class TestMemoryContract:
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
-    8192 (128 KiB); the query pass holds, for a chunk of half a piece
-    (2**14 amplitudes), its int64 row indices, a mask of the pairs to
-    swap, their flat indices and one side's values: under 1 MiB, and
-    under 512 KiB for the 15-qubit state of N=8, eta=2.  Fixed bounds
-    leave room for the Python objects made per call.
+    8192 (128 KiB); the query holds, for a chunk of half a piece (2**14
+    amplitude pairs), the int64 indices of the pairs it swaps and two
+    copies of one side's values: at most 40 bytes per pair, 640 KiB,
+    when every pair swaps (641 KiB traced).
+    Fixed bounds leave room for the Python objects made per call.
     """
 
     BUFFER_BOUND = 256 * 1024
-    XOR_BOUND = 1536 * 1024
+    XOR_BOUND = 768 * 1024
     XOR_REPEATS = 8
 
     N_QUBITS = 18
@@ -772,6 +752,11 @@ class TestMemoryContract:
     @pytest.mark.parametrize("qubit", [0, 1, 7, 17])
     def test_hadamard(self, state, qubit):
         peak = self.traced_peak(lambda: apply_hadamard(state, qubit))
+        assert peak < state.amplitudes.nbytes // 4
+
+    @pytest.mark.parametrize("qubit", [0, 1, 7, 17])
+    def test_sigma_z(self, state, qubit):
+        peak = self.traced_peak(lambda: apply_sigma_z(state, qubit))
         assert peak < state.amplitudes.nbytes // 4
 
     @pytest.mark.parametrize("register", [(0, 1, 2), (6, 7, 8), (15, 16, 17), (2, 9, 4, 11)])
@@ -817,16 +802,18 @@ class TestMemoryContract:
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
-    # A chunk is one row pair's columns at low=15, and many row pairs at
-    # low=9 and low=3.  Each case runs several times.
+    # The row pair h = 0 of the state cut into rows of 2**low amplitudes,
+    # as a search's rows lie in its state: two chunks of half a piece at
+    # low=15, part of one at low=9 and low=3.  Each case runs several times.
     def check_query_pass(self, state, low, keys):
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
+        pair = row_pair(state, low)
         for key in keys:
             for _ in range(self.XOR_REPEATS):
-                peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, key))
+                peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, key))
                 assert peak <= self.XOR_BOUND
 
-    # Key 0 flips no row: the pass is the XOR permutation and its inverse.
+    # Key 0 swaps no column: the query is the XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
     def test_xor_permutation(self, state, low):
         self.check_query_pass(state, low, (0,))
@@ -837,11 +824,10 @@ class TestMemoryContract:
         keys = (1, 0x5555 & (high // 2 - 1), high // 2 - 1)
         self.check_query_pass(state, low, keys)
 
-    # The two halves of the state as a row pair: the swaps hold what the
-    # query pass holds for one chunk, the Hadamard nothing of a row's size.
+    # The two halves of the state as a row pair: the swaps hold one chunk's
+    # temporaries, the Hadamard nothing of a row's size.
     def test_row_pair(self, state):
-        halves = state.amplitudes.reshape(2, -1)
-        lower, upper = (StateVector(self.N_QUBITS - 1, half) for half in halves)
+        lower, upper = halves(state)
         masks = np.arange(1 << (self.N_QUBITS - 1)) % (1 << 10)
         for _ in range(self.XOR_REPEATS):
             peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, 0x155))
@@ -853,8 +839,9 @@ class TestMemoryContract:
         n, low = 15, 6
         state = random_state(n, seed=2)
         masks = np.arange(1 << low) % (1 << (n - low))
+        pair = row_pair(state, low)
         for _ in range(self.XOR_REPEATS):
-            peak = self.traced_peak(lambda: apply_xor_permutation(state, low, masks, 0x55))
+            peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, 0x55))
             assert peak < state.amplitudes.nbytes
 
 
