@@ -358,7 +358,7 @@ def swap_where_odd(
     width = lower.amplitudes.size
     masks = _check_masks(masks, width)
     odd = _parity_table(parity_key, int(masks.max()).bit_length())
-    cols = min(width, max(_PIECE_AMPLITUDES // 2, 1))
+    cols = max(_PIECE_AMPLITUDES // 2, 1)
     for c in range(0, width, cols):
         index = np.flatnonzero(odd[masks[c : c + cols]])
         index += c

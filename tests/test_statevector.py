@@ -53,11 +53,6 @@ def random_state(n_qubits: int, seed: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def halves(state: StateVector) -> tuple[StateVector, StateVector]:
-    """The state's halves across its top qubit, as two states over its memory."""
-    return tuple(StateVector(state.n_qubits - 1, half) for half in state.amplitudes.reshape(2, -1))
-
-
 def row_pair(state: StateVector, low: int) -> tuple[StateVector, StateVector]:
     """Rows 0 and half of the state cut into rows of 2**low amplitudes,
     the pair h = 0 across the top qubit, as two states over its memory:
@@ -691,7 +686,7 @@ class TestXorWorkers:
 
         def swapped():
             state = random_state(n, seed=5)
-            swap_where_odd(*halves(state), masks, 1)
+            swap_where_odd(*row_pair(state, n - 1), masks, 1)
             return state
 
         expected = swapped()
@@ -827,7 +822,7 @@ class TestMemoryContract:
     # The two halves of the state as a row pair: the swaps hold one chunk's
     # temporaries, the Hadamard nothing of a row's size.
     def test_row_pair(self, state):
-        lower, upper = halves(state)
+        lower, upper = row_pair(state, self.N_QUBITS - 1)
         masks = np.arange(1 << (self.N_QUBITS - 1)) % (1 << 10)
         for _ in range(self.XOR_REPEATS):
             peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, 0x155))
