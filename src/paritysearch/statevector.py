@@ -5,11 +5,10 @@ search instance or its layout.  It has the primitives the search circuit
 needs: Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
 flips and phase flips, the inversion-about-average operator, marginal
 measurement, and state comparison modulo global phase.  The uncaptured
-circuit applies fused primitives to two rows of its state, each a state
-of its own over the same memory: a kernel of small real blocks (Hadamards
-on up to three qubits, register inversions) that skips a row's all-zero
-pieces and slabs, a Hadamard on a qubit whose two halves are two states,
-and the query for one such pair (`swap_where_odd`), its one form.
+circuit applies two fused primitives to two rows of its state, each a
+state of its own over the same memory: the query for such a pair
+(`swap_where_odd`), its one form, and a kernel of small real blocks, one
+inversion about average per register (`apply_register_inversions`).
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -19,10 +18,10 @@ gates on a pair of states return nothing.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
 slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, one piece of 2**15 at a time), and the query's swap
-indices and swapped values for half a piece, beside its parity table of
-one bool per mask value.  The pair Hadamard holds none; sigma_z and the
-one-qubit Hadamard, one strided pass each, only NumPy's fixed buffers.
+at most 2**12, one piece of 2**15 at a time), and the query's parity
+bits, swap indices and swapped values for half a piece.  sigma_z and the
+one-qubit Hadamard, one strided pass each, hold only NumPy's fixed
+buffers.
 Every pass runs on the calling thread.  The literal inversion about
 average alone holds one register mean per setting of the other qubits.
 Before any allocation, `check_capacity` refuses past the qubit cap and
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -171,45 +170,25 @@ def apply_hadamard(state: StateVector, qubit: int) -> StateVector:
     return state
 
 
-def _qubit_runs(qubits: Sequence[int]) -> list[list[int]]:
-    """Cut the qubits, in ascending order, into [start, width] runs of at
-    most three consecutive qubits."""
-    runs: list[list[int]] = []
-    for q in sorted(qubits):
-        if runs and runs[-1][0] + runs[-1][1] == q and runs[-1][1] < 3:
-            runs[-1][1] += 1
-        else:
-            runs.append([q, 1])
-    return runs
-
-
 @lru_cache(maxsize=32)
-def _block(kind: str, width: int, copies: int) -> np.ndarray:
-    """kron(B, I_copies) for a real symmetric block B on `width` qubits.
-
-    "hadamard" is H (x) ... (x) H; every factor is the same, so the bit
-    order needs no care.  "inversion" is I - 2J/2**width, J all ones: the
-    inversion about average on one register.  With copies = 2 << start
-    the matrix acts on rows of interleaved real and imaginary parts of a
-    block on qubits start, start+1, ...; with copies = 1 it is B.
-    Read-only, since every caller shares it.
+def _block(width: int, copies: int) -> np.ndarray:
+    """kron(B, I_copies) for B = I - 2J/2**width, J all ones: the real
+    symmetric block of the inversion about average on one register of
+    `width` qubits.  With copies = 2 << start the matrix acts on rows of
+    interleaved real and imaginary parts of a register on qubits start,
+    start+1, ...; with copies = 1 it is B.  Read-only, since every caller
+    shares it.
     """
-    if kind == "hadamard":
-        block = reduce(np.kron, [np.array([[1.0, 1.0], [1.0, -1.0]])] * width)
-        block /= math.sqrt(2.0**width)
-    else:
-        block = np.eye(1 << width) - 2.0 / (1 << width)
-    block = np.kron(block, np.eye(copies))
+    block = np.kron(np.eye(1 << width) - 2.0 / (1 << width), np.eye(copies))
     block.setflags(write=False)
     return block
 
 
-def _apply_block(
-    floats: np.ndarray, kind: str, start: int, width: int, scratch: np.ndarray
-) -> None:
-    """Multiply the float view of some amplitudes by a `_block` on qubits
-    start .. start+width-1, in place, through `scratch`, which holds at
-    least 2 * _BATCH_AMPLITUDES floats or the whole view.
+def _apply_block(floats: np.ndarray, start: int, width: int, scratch: np.ndarray) -> None:
+    """Multiply the float view of some amplitudes by the `_block` of a
+    register on qubits start .. start+width-1, in place, through
+    `scratch`, which holds at least 2 * _BATCH_AMPLITUDES floats or the
+    whole view.
 
     The block is real, so it acts on the real and imaginary parts alike.
     The block times the (-1, 2**width, 2 << start) view makes one small
@@ -219,12 +198,11 @@ def _apply_block(
     on the right instead, at 2 << start times the arithmetic, which is
     faster there and slower from 64 floats on.  Either way one numpy call
     multiplies a stack of at most _BATCH_AMPLITUDES, each BLAS call in it
-    at most _BLAS_AMPLITUDES.  The block maps zeros to zeros, so a stack
-    of slabs that holds no nonzero float is skipped (see `_nonzero`).
+    at most _BLAS_AMPLITUDES.
     """
     batch = 2 * _BATCH_AMPLITUDES
     if start == 0 or (2 << start) << width <= _WIDE_ROW_FLOATS:
-        matrix = _block(kind, width, 2 << start)
+        matrix = _block(width, 2 << start)
         call = min(2 * _BLAS_AMPLITUDES, floats.size)
         stack = floats.reshape(-1, call // len(matrix), len(matrix))
         step = min(batch // call, len(stack))
@@ -233,7 +211,7 @@ def _apply_block(
             np.matmul(stack[r : r + step], matrix, out=out)
             stack[r : r + step] = out
         return
-    matrix = _block(kind, width, 1)
+    matrix = _block(width, 1)
     size, row = len(matrix), 2 << start
     cols = min(row, 2 * _BLAS_AMPLITUDES // size)
     # Slabs (size, cols) of the (-1, size, row) view, stacked by row group
@@ -246,55 +224,29 @@ def _apply_block(
     for r in range(0, len(slabs), down):
         for c in range(0, slabs.shape[1], across):
             chunk = slabs[r : r + down, c : c + across]
-            if _nonzero(chunk):
-                np.matmul(matrix, chunk, out=out)
-                chunk[...] = out
+            np.matmul(matrix, chunk, out=out)
+            chunk[...] = out
 
 
-def _nonzero(chunk: np.ndarray) -> bool:
-    """Whether the chunk holds a nonzero value.  Zero is float equality:
-    -0.0 is zero, a subnormal is not.  The first 64 values of its first
-    row are tested before the whole chunk, so a dense chunk costs one
-    short read."""
-    return bool(chunk[(0,) * (chunk.ndim - 1)][:64].any() or chunk.any())
-
-
-def _apply_blocks(state: StateVector, runs: list[tuple[str, int, int]]) -> None:
-    """Apply (kind, start, width) blocks on disjoint qubits, in place.
+def _apply_blocks(state: StateVector, runs: list[tuple[int, int]]) -> None:
+    """Apply the `_block`s of (start, width) registers on disjoint qubits,
+    in place.
 
     Blocks that lie wholly below the piece boundary all act on one
     contiguous piece of _PIECE_AMPLITUDES before the next piece is read,
     so the state streams through memory once for all of them; the others
     act on the whole state, one at a time.  All share one scratch.
-
-    A block maps zeros to zeros, so all-zero pieces are skipped for the
-    low blocks (see `_nonzero`), unless the state is one piece; a high
-    block skips its all-zero stacks of slabs inside `_apply_block`.
     """
     floats = state.amplitudes.view(np.float64)
     scratch = np.empty(min(2 * _BATCH_AMPLITUDES, floats.size))
     piece_qubits = _PIECE_AMPLITUDES.bit_length() - 1
-    low = [run for run in runs if run[1] + run[2] <= piece_qubits]
-    high = [run for run in runs if run[1] + run[2] > piece_qubits]
-    if low:
-        pieces = floats.reshape(-1, 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size))
-        for piece in pieces if len(pieces) == 1 else filter(_nonzero, pieces):
-            for run in low:
-                _apply_block(piece, *run, scratch)
+    low = [run for run in runs if sum(run) <= piece_qubits]
+    high = [run for run in runs if sum(run) > piece_qubits]
+    for piece in floats.reshape(-1, 2 * min(_PIECE_AMPLITUDES, state.amplitudes.size)):
+        for run in low:
+            _apply_block(piece, *run, scratch)
     for run in high:
         _apply_block(floats, *run, scratch)
-
-
-def apply_hadamards(state: StateVector, qubits: Sequence[int]) -> StateVector:
-    """Apply a Hadamard on each of the qubits, in place.
-
-    Each run of up to three consecutive qubits is one Hadamard block of
-    up to 8x8, instead of one strided pass per qubit.  Equal to
-    `apply_hadamard` on each qubit up to rounding.
-    """
-    _validate_controls(state, qubits, 0)
-    _apply_blocks(state, [("hadamard", s, w) for s, w in _qubit_runs(qubits)])
-    return state
 
 
 def apply_register_inversions(state: StateVector, width: int, count: int) -> StateVector:
@@ -311,17 +263,8 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
         )
     if 1 << (2 * width) > _BLAS_AMPLITUDES:
         raise DomainError(f"a {width}-qubit register's block exceeds one BLAS call")
-    _apply_blocks(state, [("inversion", i * width, width) for i in range(count)])
+    _apply_blocks(state, [(i * width, width) for i in range(count)])
     return state
-
-
-def _parity_table(parity_key: int, bits: int) -> np.ndarray:
-    """Whether v AND parity_key has odd parity, for every v below 2**bits,
-    one bit at a time."""
-    odd = np.zeros(1, dtype=bool)
-    for b in range(bits):
-        odd = np.concatenate([odd, odd ^ bool(parity_key >> b & 1)])
-    return odd
 
 
 def _check_masks(masks: np.ndarray, width: int) -> np.ndarray:
@@ -347,9 +290,10 @@ def swap_where_odd(
     the ancilla where the value has odd parity under the key, and maps
     back, so column c's amplitudes cross between the rows exactly where
     masks[c] has odd parity: the three maps composed as index arithmetic.
-    Its parity table holds one bool per value up to the largest mask;
-    each chunk's swap indices and two copies of one side's values take
-    at most 40 bytes per amplitude pair.
+    The key is cut to the largest mask's bit length, so that a key of
+    any size meets the int64 masks.  Each chunk's swap indices and two
+    copies of one side's values take at most 40 bytes per amplitude pair,
+    more than its masks under the key and their parity bits.
     """
     if lower.n_qubits != upper.n_qubits:
         raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
@@ -357,30 +301,17 @@ def swap_where_odd(
         raise DomainError(f"parity key {parity_key} must be >= 0")
     width = lower.amplitudes.size
     masks = _check_masks(masks, width)
-    odd = _parity_table(parity_key, int(masks.max()).bit_length())
+    key = parity_key & ((1 << int(masks.max()).bit_length()) - 1)
     cols = max(_PIECE_AMPLITUDES // 2, 1)
     for c in range(0, width, cols):
-        index = np.flatnonzero(odd[masks[c : c + cols]])
+        odd = np.bitwise_count(masks[c : c + cols] & key) & 1
+        # Each parity is 0 or 1, so its bytes are bools, which
+        # flatnonzero scans several times faster than uint8.
+        index = np.flatnonzero(odd.view(bool))
         index += c
         values = lower.amplitudes.take(index)
         lower.amplitudes.put(index, upper.amplitudes.take(index))
         upper.amplitudes.put(index, values)
-
-
-def apply_pair_hadamard(lower: StateVector, upper: StateVector) -> None:
-    """Apply a Hadamard on a qubit whose 0 and 1 halves are the two
-    states, in place, half a piece of each at a time, with
-    `apply_hadamard`'s arithmetic."""
-    if lower.n_qubits != upper.n_qubits:
-        raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
-    cols = max(_PIECE_AMPLITUDES // 2, 1)
-    for c in range(0, lower.amplitudes.size, cols):
-        lo, hi = lower.amplitudes[c : c + cols], upper.amplitudes[c : c + cols]
-        lo += hi
-        hi *= -2.0
-        hi += lo
-        lo *= _INV_SQRT2
-        hi *= _INV_SQRT2
 
 
 def apply_sigma_z(state: StateVector, qubit: int) -> StateVector:

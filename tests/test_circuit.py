@@ -165,8 +165,9 @@ class TestRunCircuit:
             assert fid >= 1 - FIDELITY_ATOL
 
     def test_fused_path_matches_literal_gates(self):
-        # Without capture steps 2a, 3, 5 and 6 run as fused passes; with
-        # capture every step applies its literal records.
+        # Without capture steps 2a-2b are written as their known state and
+        # steps 3-6 run as fused passes; with capture every step applies
+        # its literal records.
         for n, etas in ((2, range(1, 5)), (4, range(1, 4)), (8, range(1, 3))):
             for eta in etas:
                 params = SearchParameters(n, eta)
@@ -178,8 +179,9 @@ class TestRunCircuit:
                     assert fidelity_mod_phase(fast, literal) >= 1 - FIDELITY_ATOL
                     assert marginal_distribution(fast, incidence)[0] >= 1 - FIDELITY_ATOL
 
-    # 17-19 qubits span 4-16 pieces of the block kernel, so steps 2a and
-    # 6 skip the pieces the search leaves all zero.
+    # 17-19 qubits, rows of 2**16, 2**12 and 2**9 amplitudes: step 6's
+    # block kernel meets rows of two pieces, of part of one piece, and of
+    # less than one BLAS call.
     @pytest.mark.parametrize("n, eta", [(2, 16), (4, 6), (8, 3)])
     def test_fused_path_matches_literal_gates_across_pieces(self, n, eta):
         params = SearchParameters(n, eta)
@@ -333,7 +335,7 @@ class TestQueryPass:
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
-    def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
+    def test_uncaptured_run_makes_one_query_call(self, monkeypatch):
         # Step 4 rides inside the row pair's swaps: no flip runs on its own.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
@@ -352,18 +354,19 @@ class TestLiveRows:
     """The uncaptured run applies every step to the two rows where the
     incidence register reads 0, in place, and to nothing else."""
 
-    def test_step_2a_makes_one_hadamards_call(self, monkeypatch):
-        # Only the lower row holds a nonzero amplitude before the
-        # ancilla's Hadamard, so the sample Hadamards run on it alone.
-        calls = []
-        hadamards = sv.apply_hadamards
-        monkeypatch.setattr(sv, "apply_hadamards",
-                            lambda row, qubits: calls.append(row) or hadamards(row, qubits))
-        params = SearchParameters(4, 3)
-        final = run_circuit(params, BooleanPredicate.from_marks(4, [2])).final_state
-        assert len(calls) == 1
-        assert calls[0].n_qubits == params.item_bits * params.n_samples
-        assert calls[0].amplitudes.ctypes.data == final.amplitudes.ctypes.data
+    def test_steps_2a_2b_apply_no_gate(self, monkeypatch):
+        # The rows after steps 2a-2b are a known state, H^k|0> (x) |->,
+        # written as such: no Hadamard and no sigma_z runs.
+        def gate(*args):
+            raise AssertionError("a gate ran")
+
+        monkeypatch.setattr(sv, "apply_hadamard", gate)
+        monkeypatch.setattr(sv, "apply_sigma_z", gate)
+        params, pred = SearchParameters(4, 3), BooleanPredicate.from_marks(4, [2])
+        model = amplitudes(4, 1)
+        expected = expected_full_state(params, pred, model.marked_amp, model.unmarked_amp)
+        final = run_circuit(params, pred).final_state
+        assert fidelity_mod_phase(final, expected) >= 1 - FIDELITY_ATOL
 
     # Rows of 2**16 amplitudes (two pieces), 2**12, 2**9 and 2**4, the
     # last in 2**17 rows.

@@ -30,9 +30,7 @@ from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
     apply_hadamard,
-    apply_hadamards,
     apply_inversion_about_average,
-    apply_pair_hadamard,
     apply_register_inversions,
     apply_sigma_z,
     apply_value_controlled_flip,
@@ -276,76 +274,28 @@ class TestGatesAgainstIndexOracle:
 class TestFusedPrimitives:
     """The fused passes against one gate at a time and an index oracle."""
 
-    @staticmethod
-    def check_hadamards(n, qubits, seed):
-        state = random_state(n, seed)
-        expected = state.copy()
-        for q in qubits:
-            apply_hadamard(expected, q)
-        apply_hadamards(state, qubits)
-        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
-
-    @settings(deadline=None, max_examples=80)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_hadamards_match_sequential_hadamards(self, seed, data):
-        n = data.draw(st.integers(1, 8))
-        qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        self.check_hadamards(n, qubits, seed)
-
-    @pytest.mark.parametrize(
-        "qubits", [(7,), (0,), (2,), (1, 2, 3, 4), (0, 2, 4, 6), (5, 6, 7), tuple(range(8))]
-    )
-    def test_hadamards_named_subsets(self, qubits):
-        # Single qubits, the top qubit, runs cut at 3 and gapped subsets.
-        self.check_hadamards(8, qubits, seed=len(qubits))
-
-    # With pieces of 8 or 16 amplitudes, states of a few qubits reach a
-    # second piece, runs that straddle the piece boundary and runs above it.
-    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_hadamards_in_small_pieces(self, piece, seed, data):
-        n = data.draw(st.integers(1, 8))
-        qubits = data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            self.check_hadamards(n, qubits, seed)
-
-    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4])
-    @pytest.mark.parametrize("qubits", [(1, 2, 3, 4), (0, 2, 4, 6), tuple(range(8))])
-    def test_hadamards_named_subsets_in_small_pieces(self, piece, qubits):
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            self.check_hadamards(8, qubits, seed=len(qubits))
-
     # Widths 1-3 from start 0 up: the widened block at the low starts, the
     # block times the (-1, 2**width, 2 << start) view above them.
-    @pytest.mark.parametrize("kind", ["hadamard", "inversion"])
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("start", range(6))
-    def test_block_at_each_start(self, kind, width, start):
+    def test_block_at_each_start(self, width, start):
         n = 9
         state = random_state(n, seed=start * 4 + width)
         expected = state.copy()
-        register = range(start, start + width)
-        if kind == "hadamard":
-            for q in register:
-                apply_hadamard(expected, q)
-        else:
-            apply_inversion_about_average(expected, register)
+        apply_inversion_about_average(expected, range(start, start + width))
         scratch = np.empty(2 * sv._BATCH_AMPLITUDES)
-        sv._apply_block(state.amplitudes.view(np.float64), kind, start, width, scratch)
+        sv._apply_block(state.amplitudes.view(np.float64), start, width, scratch)
         assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
 
     # With BLAS calls of 32 amplitudes and numpy calls of 64, a 9-qubit
     # state reaches what only large states reach at the real sizes: rows
     # cut into column slabs, and numpy calls within one row group.
-    @pytest.mark.parametrize(
-        "qubits", [(0, 1, 2), (3, 4, 5), (6, 7, 8), (8,), (1, 2, 3, 4), tuple(range(9))]
-    )
-    def test_blocks_in_small_calls(self, qubits):
+    # Registers of one and two qubits, the widest that fit such a call.
+    @pytest.mark.parametrize("width, count", [(1, 9), (2, 4)])
+    def test_blocks_in_small_calls(self, width, count):
         with mock.patch.object(sv, "_BLAS_AMPLITUDES", 32), \
                 mock.patch.object(sv, "_BATCH_AMPLITUDES", 64):
-            self.check_hadamards(9, qubits, seed=len(qubits))
-            self.check_register_inversions(9, 2, 4, seed=len(qubits))
+            self.check_register_inversions(9, width, count, seed=width)
 
     @staticmethod
     def check_register_inversions(n, width, count, seed):
@@ -376,15 +326,9 @@ class TestFusedPrimitives:
             with pytest.raises(DomainError):
                 apply_register_inversions(zero_state(n), width, count)
 
-    def test_hadamards_reject_bad_qubits(self):
-        with pytest.raises(DomainError):
-            apply_hadamards(zero_state(3), [0, 3])
-        with pytest.raises(DomainError):
-            apply_hadamards(zero_state(3), [1, 1])
-
     @settings(deadline=None, max_examples=80)
     @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_xor_permutation_matches_index_oracle(self, seed, data):
+    def test_query_pass_matches_index_oracle_for_each_mask_dtype(self, seed, data):
         n, low, key = self.draw_query(data, 8)
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         self.check_query_pass(n, low, key, dtype, seed)
@@ -436,8 +380,7 @@ def sparse_state() -> StateVector:
     """18 qubits, eight pieces of the block kernel: random amplitudes in
     the first, a middle and the last piece, -0.0 in piece 5, +0.0 in
     pieces 1, 4 and 6, and in piece 2 only its last amplitude's imaginary
-    part is nonzero, the least subnormal 5e-324, past the prefix that the
-    zero test reads first."""
+    part is nonzero, the least subnormal 5e-324."""
     state = random_state(18, seed=0)
     pieces = state.amplitudes.reshape(8, sv._PIECE_AMPLITUDES)
     pieces[[1, 2, 4, 6]] = 0.0
@@ -446,59 +389,20 @@ def sparse_state() -> StateVector:
     return state
 
 
-def counted_blocks(monkeypatch) -> list:
-    """Record the (kind, start, width) of each `_apply_block` call."""
-    calls = []
-    apply = sv._apply_block
-
-    def recorded(floats, kind, start, width, scratch):
-        calls.append((kind, start, width))
-        apply(floats, kind, start, width, scratch)
-
-    monkeypatch.setattr(sv, "_apply_block", recorded)
-    return calls
-
-
 class TestZeroPieces:
-    """The block kernel skips what a block would map from zero to zero:
-    pieces of 2**15 amplitudes for the low blocks, stacks of slabs for a
-    block reaching past them."""
-
-    @staticmethod
-    def check(fused, literal, dead):
-        state = sparse_state()
-        expected = state.copy()
-        literal(expected)
-        fused(state)
-        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
-        pieces = state.amplitudes.reshape(8, -1)
-        assert not pieces[list(dead)].any()
-
-    # Low runs only, one run, a run from qubit 15 (two pieces per unit,
-    # {4, 5} dead), from qubit 16 (four pieces per unit, all live), runs
-    # on both sides of the boundary, and a run of the whole state.
-    @pytest.mark.parametrize("qubits, dead", [
-        (tuple(range(15)), (1, 4, 5, 6)), ((0,), (1, 4, 5, 6)), ((14,), (1, 4, 5, 6)),
-        ((15,), (4, 5)), ((16,), ()), ((3, 15, 16), ()), ((15, 16, 17), ()),
-    ])
-    def test_hadamards_match_sequential_hadamards(self, qubits, dead):
-        def literal(state):
-            for q in qubits:
-                apply_hadamard(state, q)
-
-        self.check(lambda s: apply_hadamards(s, qubits), literal, dead)
+    """The block kernel on a state of mostly zero pieces, signed zeros and
+    a subnormal: the same as the literal inversion about average."""
 
     # Low registers only, then registers from qubit 15 on: three of one
     # qubit, one of two straddling the boundary at 14, one of three.
-    @pytest.mark.parametrize("width, count, dead", [
-        (3, 5, (1, 4, 5, 6)), (1, 15, (1, 4, 5, 6)), (1, 18, ()), (2, 8, (4, 5)), (3, 6, ()),
-    ])
-    def test_register_inversions_match_inversion_about_average(self, width, count, dead):
-        def literal(state):
-            for i in range(count):
-                apply_inversion_about_average(state, range(i * width, (i + 1) * width))
-
-        self.check(lambda s: apply_register_inversions(s, width, count), literal, dead)
+    @pytest.mark.parametrize("width, count", [(3, 5), (1, 15), (1, 18), (2, 8), (3, 6)])
+    def test_register_inversions_match_inversion_about_average(self, width, count):
+        state = sparse_state()
+        expected = state.copy()
+        for i in range(count):
+            apply_inversion_about_average(expected, range(i * width, (i + 1) * width))
+        apply_register_inversions(state, width, count)
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
 
     def test_subnormal_piece_is_processed(self):
         # The one-qubit inversion is [[0, -1], [-1, 0]]: it moves the
@@ -509,55 +413,6 @@ class TestZeroPieces:
         assert piece[-1] == 0
         assert piece[-2] == -5e-324j
         assert np.count_nonzero(piece) == 1
-
-    def test_negative_zero_piece_is_skipped(self, monkeypatch):
-        # Pieces 0, 2, 3 and 7 are live; 1, 4 and 6 hold +0.0, 5 -0.0.
-        calls = counted_blocks(monkeypatch)
-        state = sparse_state()
-        apply_hadamards(state, (0, 1, 2))
-        assert len(calls) == 4
-        assert np.signbit(state.amplitudes.reshape(8, -1)[5].view(np.float64)).all()
-
-    @pytest.mark.parametrize("live", [0, 3, 7])
-    def test_one_call_per_low_run_when_one_piece_is_live(self, live, monkeypatch):
-        state = StateVector(18, np.zeros(1 << 18))
-        state.amplitudes.reshape(8, -1)[live] = random_state(15, seed=live).amplitudes
-        calls = counted_blocks(monkeypatch)
-        apply_hadamards(state, range(15))
-        assert len(calls) == 5
-        del calls[:]
-        apply_register_inversions(state, 1, 15)
-        assert len(calls) == 15
-
-    # A block on qubit q acts on aligned units of 2**(q+1) amplitudes: on
-    # qubit 15 units of two pieces, of which {4, 5} holds zeros alone; on
-    # qubit 16 units of four pieces, all live; on qubit 17 the whole state.
-    # Inside a live unit it skips the slabs of a piece pair that holds no
-    # nonzero float, so with pieces 1, 4, 5 and 6 all -0.0 the pairs {4, 5},
-    # {4, 6} and {1, 5} keep the sign of zero, the last two inside live
-    # units, and the rest matches one Hadamard at a time.
-    DEAD_PAIRS = {15: (4, 5), 16: (4, 6), 17: (1, 5)}
-
-    @pytest.mark.parametrize("qubit, units", [(15, 3), (16, 2), (17, 1)])
-    def test_high_run_is_applied_to_its_live_units(self, qubit, units):
-        state = sparse_state()
-        pieces = state.amplitudes.reshape(8, -1)
-        pieces[[1, 4, 6]] = complex(-0.0, -0.0)
-        unit_pieces = 2 << (qubit - 15)
-        assert pieces.reshape(-1, unit_pieces * pieces.shape[1]).any(axis=1).sum() == units
-        expected = state.copy()
-        apply_hadamard(expected, qubit)
-        apply_hadamards(state, (qubit,))
-        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
-        dead = pieces[list(self.DEAD_PAIRS[qubit])]
-        assert np.signbit(dead.view(np.float64)).all()
-
-    def test_state_of_one_piece_is_one_unit(self, monkeypatch):
-        # Not tested for zeros: even an all-zero piece is multiplied.
-        calls = counted_blocks(monkeypatch)
-        apply_hadamards(StateVector(15, np.zeros(1 << 15)), range(15))
-        assert len(calls) == 5
-
 
 class TestLiveAmplitudes:
     """A search touches only its live amplitudes, on the calling thread."""
@@ -582,8 +437,8 @@ class TestLiveAmplitudes:
 
 
 class TestRowPair:
-    """Gates on a qubit whose two halves are held as two states of equal
-    size: the query's swap rule for one row pair, and the Hadamard."""
+    """The query's swap rule on a qubit whose two halves are held as two
+    states of equal size: one row pair."""
 
     # The pair is rows 0 and 8 of 16 (4 high qubits): with no other row
     # live, the index oracle of the query on the whole state moves only
@@ -615,21 +470,8 @@ class TestRowPair:
         expected[odd] = random_state(3, seed=2).amplitudes[odd]
         assert np.array_equal(lower.amplitudes, expected)
 
-    @pytest.mark.parametrize("piece", [1 << 1, 1 << 4, 1 << 15])
-    @pytest.mark.parametrize("n", [1, 5, 16])
-    def test_pair_hadamard_is_apply_hadamard_on_the_top_qubit(self, n, piece, monkeypatch):
-        monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-        state = random_state(n + 1, seed=n)
-        lower, upper = (StateVector(n, half.copy()) for half in state.amplitudes.reshape(2, -1))
-        apply_hadamard(state, n)
-        apply_pair_hadamard(lower, upper)
-        assert np.array_equal(np.concatenate([lower.amplitudes, upper.amplitudes]),
-                              state.amplitudes)
-
     def test_pair_gates_reject_bad_arguments(self):
         a, b = zero_state(2), zero_state(3)
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            apply_pair_hadamard(a, b)
         with pytest.raises(DomainError, match="dimension mismatch"):
             swap_where_odd(a, b, np.zeros(4, dtype=int), 0)
         with pytest.raises(DomainError, match="parity key"):
@@ -639,7 +481,7 @@ class TestRowPair:
                 swap_where_odd(a, zero_state(2), masks, 1)
 
 
-class TestXorWorkers:
+class TestQuerySplit:
     """The query runs in the calling thread and starts no worker; it
     divides the row pair into chunks of half a piece.  How it divides
     them changes no byte, and passes in other threads do not disturb it."""
@@ -719,15 +561,16 @@ class TestMemoryContract:
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
     8192 (128 KiB); the query holds, for a chunk of half a piece (2**14
-    amplitude pairs), the int64 indices of the pairs it swaps and two
-    copies of one side's values: at most 40 bytes per pair, 640 KiB,
-    when every pair swaps (641 KiB traced).
+    amplitude pairs), the masks under the key and their parity bits, then
+    the int64 indices of the pairs it swaps and two copies of one side's
+    values: at most 40 bytes per pair, 640 KiB, when every pair swaps
+    (641 KiB traced).
     Fixed bounds leave room for the Python objects made per call.
     """
 
     BUFFER_BOUND = 256 * 1024
-    XOR_BOUND = 768 * 1024
-    XOR_REPEATS = 8
+    QUERY_BOUND = 768 * 1024
+    QUERY_REPEATS = 8
 
     N_QUBITS = 18
 
@@ -773,22 +616,9 @@ class TestMemoryContract:
         )
         assert peak <= self.BUFFER_BOUND
 
-    @pytest.mark.parametrize("qubits", [tuple(range(15)), (0,), (17,), (1, 2, 5, 9, 17)])
-    def test_hadamards(self, state, qubits):
-        peak = self.traced_peak(lambda: apply_hadamards(state, qubits))
-        assert peak <= self.BUFFER_BOUND
-
     @pytest.mark.parametrize("width, count", [(3, 5), (4, 4), (1, 18)])
     def test_register_inversions(self, state, width, count):
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
-        assert peak <= self.BUFFER_BOUND
-
-    # The zero test reads the pieces in place, all of them where the
-    # prefix is zero.
-    @pytest.mark.parametrize("qubits", [tuple(range(15)), (0,), (15,), (1, 2, 5, 9, 17)])
-    def test_hadamards_on_a_sparse_state(self, qubits):
-        state = sparse_state()
-        peak = self.traced_peak(lambda: apply_hadamards(state, qubits))
         assert peak <= self.BUFFER_BOUND
 
     @pytest.mark.parametrize("width, count", [(3, 5), (4, 4), (1, 18)])
@@ -804,13 +634,13 @@ class TestMemoryContract:
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
         pair = row_pair(state, low)
         for key in keys:
-            for _ in range(self.XOR_REPEATS):
+            for _ in range(self.QUERY_REPEATS):
                 peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, key))
-                assert peak <= self.XOR_BOUND
+                assert peak <= self.QUERY_BOUND
 
     # Key 0 swaps no column: the query is the XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_xor_permutation(self, state, low):
+    def test_query_pass_with_key_zero(self, state, low):
         self.check_query_pass(state, low, (0,))
 
     @pytest.mark.parametrize("low", [15, 9, 3])
@@ -820,22 +650,39 @@ class TestMemoryContract:
         self.check_query_pass(state, low, keys)
 
     # The two halves of the state as a row pair: the swaps hold one chunk's
-    # temporaries, the Hadamard nothing of a row's size.
+    # temporaries.
     def test_row_pair(self, state):
         lower, upper = row_pair(state, self.N_QUBITS - 1)
         masks = np.arange(1 << (self.N_QUBITS - 1)) % (1 << 10)
-        for _ in range(self.XOR_REPEATS):
+        for _ in range(self.QUERY_REPEATS):
             peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, 0x155))
-            assert peak <= self.XOR_BOUND
-        assert self.traced_peak(lambda: apply_pair_hadamard(lower, upper)) <= self.BUFFER_BOUND
+            assert peak <= self.QUERY_BOUND
 
-    def test_xor_permutation_below_a_small_state(self):
+    def test_query_pass_with_wide_masks(self):
+        # Masks below 2**26 on a row pair of 2**10 amplitudes: each mask's
+        # parity under the key comes from the mask itself, whatever its
+        # size, and matches bin()'s count of its bits.
+        rng = np.random.default_rng(4)
+        masks = rng.integers(0, 1 << 26, size=1 << 10)
+        masks[0] = (1 << 26) - 1
+        key = 0x2AAAAAA | 1 << 70
+        lower, upper = random_state(10, seed=5), random_state(10, seed=6)
+        swap_where_odd(lower, upper, masks, key)
+        odd = np.array([bin(int(m) & key).count("1") & 1 for m in masks], dtype=bool)
+        expected = random_state(10, seed=5).amplitudes
+        expected[odd] = random_state(10, seed=6).amplitudes[odd]
+        assert np.array_equal(lower.amplitudes, expected)
+        for _ in range(self.QUERY_REPEATS):
+            peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, key))
+            assert peak <= self.QUERY_BOUND
+
+    def test_query_pass_below_a_small_state(self):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
         n, low = 15, 6
         state = random_state(n, seed=2)
         masks = np.arange(1 << low) % (1 << (n - low))
         pair = row_pair(state, low)
-        for _ in range(self.XOR_REPEATS):
+        for _ in range(self.QUERY_REPEATS):
             peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, 0x55))
             assert peak < state.amplitudes.nbytes
 
