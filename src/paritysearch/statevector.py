@@ -268,13 +268,15 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
 
 
 def _check_masks(masks: np.ndarray, width: int) -> np.ndarray:
-    """`width` integer masks, each >= 0, as intp."""
+    """`width` integer masks, each >= 0 and below 2**63, as intp."""
     masks = np.asarray(masks)
     if masks.shape != (width,) or masks.dtype.kind not in "iu":
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
+    # Unsigned masks from 2**63 on wrap negative here.
+    masks = masks.astype(np.intp, copy=False)
     if masks.min() < 0:
-        raise DomainError("masks must be >= 0")
-    return masks.astype(np.intp, copy=False)
+        raise DomainError("masks must be >= 0 and below 2**63")
+    return masks
 
 
 def swap_where_odd(

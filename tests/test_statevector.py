@@ -476,7 +476,8 @@ class TestRowPair:
             swap_where_odd(a, b, np.zeros(4, dtype=int), 0)
         with pytest.raises(DomainError, match="parity key"):
             swap_where_odd(a, zero_state(2), np.zeros(4, dtype=int), -1)
-        for masks in (np.zeros(3, dtype=int), np.zeros(4), np.array([0, -1, 2, 3])):
+        for masks in (np.zeros(3, dtype=int), np.zeros(4), np.array([0, -1, 2, 3]),
+                      np.array([0, 1, 2, 1 << 63], dtype=np.uint64)):
             with pytest.raises(DomainError, match="masks"):
                 swap_where_odd(a, zero_state(2), masks, 1)
 
