@@ -335,7 +335,7 @@ class TestQueryPass:
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
-    def test_uncaptured_run_makes_one_query_call(self, monkeypatch):
+    def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
         # Step 4 rides inside the row pair's swaps: no flip runs on its own.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))

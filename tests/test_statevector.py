@@ -274,15 +274,30 @@ class TestGatesAgainstIndexOracle:
 class TestFusedPrimitives:
     """The fused passes against one gate at a time and an index oracle."""
 
+    @staticmethod
+    def literal_inversion(state, register, reference):
+        """The inversion about average on `register` as the literal run
+        applies it in step 6, Hadamards around a phase flip on 0, or as
+        the mean subtraction of `apply_inversion_about_average`."""
+        if reference == "hadamard":
+            for q in register:
+                apply_hadamard(state, q)
+            apply_value_controlled_phase(state, register, 0)
+            for q in register:
+                apply_hadamard(state, q)
+        else:
+            apply_inversion_about_average(state, register)
+
     # Widths 1-3 from start 0 up: the widened block at the low starts, the
     # block times the (-1, 2**width, 2 << start) view above them.
+    @pytest.mark.parametrize("reference", ["hadamard", "inversion"])
     @pytest.mark.parametrize("width", [1, 2, 3])
     @pytest.mark.parametrize("start", range(6))
-    def test_block_at_each_start(self, width, start):
+    def test_block_at_each_start(self, reference, width, start):
         n = 9
         state = random_state(n, seed=start * 4 + width)
         expected = state.copy()
-        apply_inversion_about_average(expected, range(start, start + width))
+        self.literal_inversion(expected, range(start, start + width), reference)
         scratch = np.empty(2 * sv._BATCH_AMPLITUDES)
         sv._apply_block(state.amplitudes.view(np.float64), start, width, scratch)
         assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
@@ -290,9 +305,20 @@ class TestFusedPrimitives:
     # With BLAS calls of 32 amplitudes and numpy calls of 64, a 9-qubit
     # state reaches what only large states reach at the real sizes: rows
     # cut into column slabs, and numpy calls within one row group.
-    # Registers of one and two qubits, the widest that fit such a call.
+    # Registers of one and two qubits, the widest that fit such a call, at
+    # the bottom, in the middle and at the top of the state.
+    @pytest.mark.parametrize("qubits", [(0,), (0, 1), (3, 4), (4,), (7, 8), (8,)])
+    def test_blocks_in_small_calls(self, qubits):
+        state = random_state(9, seed=sum(qubits))
+        expected = state.copy()
+        self.literal_inversion(expected, qubits, "hadamard")
+        with mock.patch.object(sv, "_BLAS_AMPLITUDES", 32), \
+                mock.patch.object(sv, "_BATCH_AMPLITUDES", 64):
+            sv._apply_blocks(state, [(qubits[0], len(qubits))])
+        assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+
     @pytest.mark.parametrize("width, count", [(1, 9), (2, 4)])
-    def test_blocks_in_small_calls(self, width, count):
+    def test_register_inversions_in_small_calls(self, width, count):
         with mock.patch.object(sv, "_BLAS_AMPLITUDES", 32), \
                 mock.patch.object(sv, "_BATCH_AMPLITUDES", 64):
             self.check_register_inversions(9, width, count, seed=width)
@@ -328,7 +354,7 @@ class TestFusedPrimitives:
 
     @settings(deadline=None, max_examples=80)
     @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_query_pass_matches_index_oracle_for_each_mask_dtype(self, seed, data):
+    def test_xor_permutation_matches_index_oracle(self, seed, data):
         n, low, key = self.draw_query(data, 8)
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         self.check_query_pass(n, low, key, dtype, seed)
@@ -394,15 +420,22 @@ class TestZeroPieces:
     a subnormal: the same as the literal inversion about average."""
 
     # Low registers only, then registers from qubit 15 on: three of one
-    # qubit, one of two straddling the boundary at 14, one of three.
-    @pytest.mark.parametrize("width, count", [(3, 5), (1, 15), (1, 18), (2, 8), (3, 6)])
-    def test_register_inversions_match_inversion_about_average(self, width, count):
+    # qubit, one of two straddling the boundary at 14, one of three.  A
+    # register below qubit 15 keeps each piece to itself, one below qubit
+    # 16 each pair of pieces, so `dead` pieces, all zero in the units
+    # they share, stay zero.
+    @pytest.mark.parametrize("width, count, dead", [
+        (3, 5, (1, 4, 5, 6)), (1, 15, (1, 4, 5, 6)), (1, 18, ()), (2, 8, (4, 5)), (3, 6, ()),
+    ])
+    def test_register_inversions_match_inversion_about_average(self, width, count, dead):
         state = sparse_state()
         expected = state.copy()
         for i in range(count):
             apply_inversion_about_average(expected, range(i * width, (i + 1) * width))
         apply_register_inversions(state, width, count)
         assert np.allclose(state.amplitudes, expected.amplitudes, atol=NORM_ATOL)
+        pieces = state.amplitudes.reshape(8, -1)
+        assert not pieces[list(dead)].any()
 
     def test_subnormal_piece_is_processed(self):
         # The one-qubit inversion is [[0, -1], [-1, 0]]: it moves the
@@ -482,7 +515,7 @@ class TestRowPair:
                 swap_where_odd(a, zero_state(2), masks, 1)
 
 
-class TestQuerySplit:
+class TestXorWorkers:
     """The query runs in the calling thread and starts no worker; it
     divides the row pair into chunks of half a piece.  How it divides
     them changes no byte, and passes in other threads do not disturb it."""
@@ -641,7 +674,7 @@ class TestMemoryContract:
 
     # Key 0 swaps no column: the query is the XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
-    def test_query_pass_with_key_zero(self, state, low):
+    def test_xor_permutation(self, state, low):
         self.check_query_pass(state, low, (0,))
 
     @pytest.mark.parametrize("low", [15, 9, 3])
@@ -677,7 +710,7 @@ class TestMemoryContract:
             peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, key))
             assert peak <= self.QUERY_BOUND
 
-    def test_query_pass_below_a_small_state(self):
+    def test_xor_permutation_below_a_small_state(self):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
         n, low = 15, 6
         state = random_state(n, seed=2)
