@@ -165,12 +165,16 @@ def _occurrence_masks(params: SearchParameters) -> np.ndarray:
     return masks
 
 
+def _live_rows(state: StateVector, params: SearchParameters) -> np.ndarray:
+    """The (2, 2**(item_bits*n_samples)) view of `state` where the incidence
+    register reads 0, one row per ancilla value: a search's only live rows."""
+    return state.amplitudes.reshape(2, -1, 1 << (params.item_bits * params.n_samples))[:, 0]
+
+
 def _run_rows(state: StateVector, params: SearchParameters, pred: BooleanPredicate) -> None:
-    """Steps 2a-6 on the two rows where the incidence register reads 0,
-    one per ancilla value, in place: views of `state`, which holds no
-    other nonzero amplitude outside the query."""
+    """Steps 2a-6 on `_live_rows(state, params)`, in place."""
     k = params.item_bits * params.n_samples
-    lower, upper = (StateVector(k, row) for row in state.amplitudes.reshape(2, -1, 1 << k)[:, 0])
+    lower, upper = (StateVector(k, row) for row in _live_rows(state, params))
     # Steps 2a-2b make H^k|0> (x) |->: every amplitude of the rows is
     # 2**(-(k+1)/2), negated where the ancilla reads 1.
     amp = 2.0 ** (-(k + 1) / 2)
@@ -192,23 +196,23 @@ def run_circuit(
 
     Capture applies every gate record literally, and refuses an instance
     whose seven states (working state plus six snapshots) physical memory
-    cannot hold.  Without it, no gate list is built and each step is
-    derived from the instance and the predicate.  The circuit starts from
-    |0...0>, and its query returns the incidence register to 0, so outside
-    the query only the two rows of incidence value 0, one per ancilla
-    value, hold amplitudes.  The run allocates the full state and applies
-    every step to those two rows alone, each a contiguous view of the
-    sample qubits' 2**(item_bits * n_samples) amplitudes; nothing else of
-    the state is read or written.  Steps 2a-2b make a known state,
+    cannot hold.  Without it, no gate list is built and each step is derived
+    from the instance and the predicate.  The circuit starts from |0...0>,
+    and its query returns the incidence register to 0, so outside the query
+    only the two rows of incidence value 0, one per ancilla value, hold
+    amplitudes.  The run allocates the full state, and every step, like
+    `measure_samples`, acts on those two rows alone, each a contiguous view
+    of the sample qubits' 2**(item_bits * n_samples) amplitudes; nothing
+    else of the state is read or written.  Steps 2a-2b make a known state,
     H^k|0> (x) |-> with k = item_bits * n_samples: the run fills the lower
-    row with 2**(-(k+1)/2) and the upper row with its negative.  Steps
-    3-5, the query, swap the two rows where step 3's net incidence flips
-    (an XOR keyed by the sample registers) reach a value of odd parity
-    under step 4's controls.  Step 6's reflections, one block I - 2J/N
-    per register on each row, go through the block kernel of
-    `statevector`.  Each step equals its records up to rounding and the
-    sign of zeros, steps 3-5 exactly.  Both runs check the predicate size
-    and the capacity for the states they keep before they allocate.
+    row with 2**(-(k+1)/2) and the upper row with its negative.  Steps 3-5,
+    the query, swap the two rows where step 3's net incidence flips (an XOR
+    keyed by the sample registers) reach a value of odd parity under step
+    4's controls.  Step 6's reflections, one block I - 2J/N per register on
+    each row, go through the block kernel of `statevector`.  Each step
+    equals its records up to rounding and the sign of zeros, steps 3-5
+    exactly.  Both runs check the predicate size and the capacity for the
+    states they keep before they allocate.
     """
     _check_instance(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(params.total_qubits)
@@ -231,18 +235,18 @@ def run_circuit(
 
 
 def _sample_marginal(final_state: StateVector, params: SearchParameters) -> np.ndarray:
-    """Joint probabilities of the sample qubits' values, as
-    `marginal_distribution` over all sample qubits gives them.
-
-    The k sample qubits are the lowest ones, so each column of the float
-    view's rows of 2 << k floats holds one part (real or imaginary) of
-    one joint value: one two-axis contraction sums its squares, and each
-    column pair then sums to a probability.
-    """
-    rows = final_state.amplitudes.view(np.float64).reshape(
-        -1, 2 << (params.item_bits * params.n_samples)
-    )
-    return np.einsum("ij,ij->j", rows, rows).reshape(-1, 2).sum(axis=1)
+    """Joint probabilities of the sample qubits' values on `_live_rows`, as
+    `marginal_distribution` gives them where all else is 0: per chunk of
+    half a piece, in one buffer, each column's squared parts, lower row
+    plus upper, then real plus imaginary, as a sum down every row adds them."""
+    parts = _live_rows(final_state, params).view(np.float64).reshape(2, -1, 2)
+    cols = min(max(sv._PIECE_AMPLITUDES // 2, 1), parts.shape[1])  # powers of two
+    sq, out = np.empty((2, cols, 2)), np.empty(parts.shape[1])
+    for c in range(0, out.size, cols):
+        np.multiply(parts[:, c : c + cols], parts[:, c : c + cols], out=sq)
+        np.add(sq[0], sq[1], out=sq[0])
+        np.add(sq[0, :, 0], sq[0, :, 1], out=out[c : c + cols])
+    return out
 
 
 def measure_samples(
@@ -250,11 +254,15 @@ def measure_samples(
     params: SearchParameters,
     rng: np.random.Generator | int | None = None,
 ) -> SampleTuple:
-    """Draw one item per sample register from its exact marginal.
+    """Draw one item per sample register from its exact marginal on the
+    slice where the incidence register reads 0; refuse a slice of no weight.
 
-    Registers are unentangled after the final step, so per-register
-    marginals reproduce the joint measurement distribution.  One joint
-    marginal over all sample qubits is summed down to each register's.
+    Steps 3-5 return that register to 0 exactly, by swaps, so a search's
+    final amplitudes off the slice are exactly +-0, captured or not, and
+    the marginal is the full state's, byte for byte.  Registers are
+    unentangled after the final step, so per-register marginals reproduce
+    the joint measurement distribution.  One joint marginal over all
+    sample qubits is summed down to each register's.
     """
     if final_state.n_qubits != params.total_qubits:
         raise DomainError(
@@ -267,8 +275,10 @@ def measure_samples(
     # Register i is the digit of weight N**(i-1), axis n_samples - i.
     for axis in reversed(range(params.n_samples)):
         marg = joint.sum(axis=tuple(a for a in range(params.n_samples) if a != axis))
-        marg = marg / marg.sum()
-        values.append(int(rng.choice(params.n_items, p=marg)) + 1)
+        total = marg.sum()
+        if total == 0:
+            raise DomainError("state has no amplitude where the incidence register reads 0")
+        values.append(int(rng.choice(params.n_items, p=marg / total)) + 1)
     return SampleTuple(tuple(values))
 
 

@@ -239,10 +239,8 @@ def _simulate_document(values: dict) -> dict:
         # The expected state is |minus>|0...0>|product>, zero off the
         # slice where the incidence register is 0: compare on that slice,
         # one ancilla value at a time, rather than build a whole state more.
-        step6 = run.intermediates["step6"].amplitudes.reshape(2, 1 << n, -1)
-        overlap = np.vdot(step6[0, 0], product.amplitudes) - np.vdot(
-            step6[1, 0], product.amplitudes
-        )
+        lower, upper = ci._live_rows(run.intermediates["step6"], params)
+        overlap = np.vdot(lower, product.amplitudes) - np.vdot(upper, product.amplitudes)
         checks = {
             "incidence_all_zero_probability": float(incidence[0]),
             "sample_state_fidelity": abs(overlap) / math.sqrt(2.0),

@@ -415,6 +415,23 @@ class TestLiveRows:
         assert growth < 2 * (16 << 18) + (16 << 15)
 
 
+def live_row_state(params: SearchParameters, rng: np.random.Generator) -> StateVector:
+    """A state random and entangled on the two rows where the incidence
+    register reads 0, one per ancilla value, and zero elsewhere."""
+    amps = np.zeros(1 << params.total_qubits, dtype=complex)
+    rows = amps.reshape(2, -1, 1 << (params.item_bits * params.n_samples))[:, 0]
+    rows[...] = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+    return StateVector(params.total_qubits, amps / np.linalg.norm(amps))
+
+
+def full_state_marginal(state: StateVector, params: SearchParameters) -> np.ndarray:
+    """The sample qubits' joint marginal read from every row of the state:
+    one sum of squares down the rows of the float view, then real plus
+    imaginary, as measurement took it before it read the live rows alone."""
+    rows = state.amplitudes.view(np.float64).reshape(-1, 2 << (params.item_bits * params.n_samples))
+    return np.einsum("ij,ij->j", rows, rows).reshape(-1, 2).sum(axis=1)
+
+
 class TestMeasurement:
     def test_same_seed_same_samples(self):
         params = SearchParameters(4, 3)
@@ -447,14 +464,14 @@ class TestMeasurement:
 
     @pytest.mark.parametrize("n, eta", [(n, eta) for n in (2, 4, 8) for eta in (1, 2, 3)])
     def test_two_axis_marginal_matches_tensor_marginal(self, n, eta):
-        # On entangled random states, not only the circuit's product states.
+        # On states random and entangled on the two live rows and zero
+        # elsewhere, the slice that measurement reads, not only on the
+        # circuit's product states; the oracle reads the whole state.
         params = SearchParameters(n, eta)
         qubits = params.all_sample_qubits()
         rng = np.random.default_rng(n * 10 + eta)
         for _ in range(3):
-            size = 1 << params.total_qubits
-            amps = rng.normal(size=size) + 1j * rng.normal(size=size)
-            final = StateVector(params.total_qubits, amps / np.linalg.norm(amps))
+            final = live_row_state(params, rng)
             tensor = marginal_distribution(final, qubits)
             assert np.max(np.abs(_sample_marginal(final, params) - tensor)) <= 1e-15
             # Fixed seeds draw what the tensor-view marginal would feed rng.choice.
@@ -539,6 +556,72 @@ class TestMeasurement:
         final = run_circuit(SearchParameters(2, 1), BooleanPredicate.from_marks(2, [])).final_state
         with pytest.raises(DomainError):
             measure_samples(final, SearchParameters(2, 2))
+
+    def test_state_without_live_weight_is_refused(self):
+        # All zero, or all weight off the two rows: no distribution to
+        # draw from, so a one-line domain error instead of 0/0.
+        params = SearchParameters(2, 2)
+        off_rows = np.zeros(1 << params.total_qubits, dtype=complex)
+        off_rows[1 << (params.item_bits * params.n_samples)] = 1.0  # incidence value 1
+        for amps in (np.zeros_like(off_rows), off_rows):
+            with pytest.raises(DomainError, match="no amplitude where the incidence register"):
+                measure_samples(StateVector(params.total_qubits, amps), params, rng=1)
+
+    def test_search_states_are_zero_off_the_live_rows(self, monkeypatch):
+        # Steps 3-5 return the incidence register to 0 by swaps, in both
+        # runs, so the two rows hold every nonzero amplitude and their
+        # marginal is the whole state's sum of squares, byte for byte,
+        # also in chunks of two columns.
+        for n, etas in ((2, range(1, 7)), (4, range(1, 4)), (8, range(1, 3)), (16, (1,))):
+            for eta in etas:
+                params = SearchParameters(n, eta)
+                width = 1 << (params.item_bits * eta)
+                for marks in ((), (1,), range(1, n // 2 + 1), range(1, n + 1), scattered(n)):
+                    pred = BooleanPredicate.from_marks(n, marks)
+                    for capture in (False, True):
+                        final = run_circuit(params, pred, capture=capture).final_state
+                        assert not final.amplitudes.reshape(2, -1, width)[:, 1:].any()
+                        oracle = full_state_marginal(final, params).tobytes()
+                        assert _sample_marginal(final, params).tobytes() == oracle
+                        with monkeypatch.context() as patch:
+                            patch.setattr(sv, "_PIECE_AMPLITUDES", 4)
+                            assert _sample_marginal(final, params).tobytes() == oracle
+
+    # Rows of 2**16 amplitudes (four chunks), 2**12, 2**9 and 2**4.
+    @pytest.mark.parametrize("n, eta", [(2, 16), (4, 6), (8, 3), (16, 1)])
+    def test_measurement_reads_only_the_live_rows(self, n, eta):
+        # Every word off the two rows is the sentinel: a pass that read
+        # one into a sum would turn the marginal to NaN.
+        params = SearchParameters(n, eta)
+        pred = BooleanPredicate.from_marks(n, {1} | scattered(n))
+        final = run_circuit(params, pred).final_state
+        marked = final.copy()
+        marked.amplitudes.view(np.uint64).reshape(2, -1, 2 << (params.item_bits * eta))[
+            :, 1:
+        ] = SENTINEL
+        for seed in range(3):
+            assert measure_samples(marked, params, rng=seed) == measure_samples(
+                final, params, rng=seed
+            )
+        assert _sample_marginal(marked, params).tobytes() == _sample_marginal(
+            final, params
+        ).tobytes()
+
+    def test_measurement_temporaries_are_bounded(self):
+        # At N=2, eta=18 the rows are 2**18 amplitudes each (4 MiB) and the
+        # joint marginal is 2 MiB.  Beyond that output, measurement holds
+        # one chunk of half a piece of both rows (512 KiB) and a few KiB
+        # of numpy's small arrays: no copy of the rows, no squared rows.
+        params, pred = SearchParameters(2, 18), BooleanPredicate.from_marks(2, {1})
+        final = run_circuit(params, pred).final_state
+        tracemalloc.start()
+        try:
+            measure_samples(final, params, rng=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        chunk = 2 * (sv._PIECE_AMPLITUDES // 2) * 16
+        assert peak - 8 * params.n_items**params.n_samples <= chunk + (16 << 10)
 
 
 class TestMajorityPostprocess:
