@@ -172,19 +172,19 @@ def _live_rows(state: StateVector, params: SearchParameters) -> np.ndarray:
 
 
 def _run_rows(state: StateVector, params: SearchParameters, pred: BooleanPredicate) -> None:
-    """Steps 2a-6 on `_live_rows(state, params)`, in place."""
+    """Steps 2a-6 on the lower of `_live_rows(state, params)`, in place; the
+    upper row, always its negation, is then written as such."""
     k = params.item_bits * params.n_samples
-    lower, upper = (StateVector(k, row) for row in _live_rows(state, params))
-    # Steps 2a-2b make H^k|0> (x) |->: every amplitude of the rows is
-    # 2**(-(k+1)/2), negated where the ancilla reads 1.
-    amp = 2.0 ** (-(k + 1) / 2)
-    lower.amplitudes.fill(amp)
-    upper.amplitudes.fill(-amp)
-    # Steps 3-5: the rows swap where the net incidence flips reach a value
-    # of odd parity under step 4's controls.
-    sv.swap_where_odd(lower, upper, _occurrence_masks(params), pred.to_mask())
-    for row in (lower, upper):
-        sv.apply_register_inversions(row, params.item_bits, params.n_samples)
+    lower, upper = _live_rows(state, params)
+    row = StateVector(k, lower)
+    # Steps 2a-2b make H^k|0> (x) |->: every amplitude of the lower row is
+    # 2**(-(k+1)/2).
+    lower.fill(2.0 ** (-(k + 1) / 2))
+    # Steps 3-5 kick the parity of the net incidence flips under step 4's
+    # controls into the phase, and leave the ancilla in |->.
+    sv.negate_where_odd(row, _occurrence_masks(params), pred.to_mask())
+    sv.apply_register_inversions(row, params.item_bits, params.n_samples)
+    np.negative(lower, out=upper)
 
 
 def run_circuit(
@@ -200,16 +200,18 @@ def run_circuit(
     from the instance and the predicate.  The circuit starts from |0...0>,
     and its query returns the incidence register to 0, so outside the query
     only the two rows of incidence value 0, one per ancilla value, hold
-    amplitudes.  The run allocates the full state, and every step, like
-    `measure_samples`, acts on those two rows alone, each a contiguous view
-    of the sample qubits' 2**(item_bits * n_samples) amplitudes; nothing
-    else of the state is read or written.  Steps 2a-2b make a known state,
+    amplitudes, each a contiguous view of the sample qubits'
+    2**(item_bits * n_samples) amplitudes.  The ancilla stays in |->, so
+    the upper row is always the lower one negated.  The run allocates the
+    full state, computes steps 2a-6 on the lower row alone and writes the
+    upper row once, as its negation; like `measure_samples`, it reads and
+    writes nothing else of the state.  Steps 2a-2b make a known state,
     H^k|0> (x) |-> with k = item_bits * n_samples: the run fills the lower
-    row with 2**(-(k+1)/2) and the upper row with its negative.  Steps 3-5,
-    the query, swap the two rows where step 3's net incidence flips (an XOR
-    keyed by the sample registers) reach a value of odd parity under step
-    4's controls.  Step 6's reflections, one block I - 2J/N per register on
-    each row, go through the block kernel of `statevector`.  Each step
+    row with 2**(-(k+1)/2).  Steps 3-5, the query, negate it where step 3's
+    net incidence flips (an XOR keyed by the sample registers) reach a
+    value of odd parity under step 4's controls.  Step 6's reflections,
+    one block I - 2J/N per register, go through the block kernel of
+    `statevector`, which commutes with negation bit for bit.  Each step
     equals its records up to rounding and the sign of zeros, steps 3-5
     exactly.  Both runs check the predicate size and the capacity for the
     states they keep before they allocate.
@@ -257,12 +259,13 @@ def measure_samples(
     """Draw one item per sample register from its exact marginal on the
     slice where the incidence register reads 0; refuse a slice of no weight.
 
-    Steps 3-5 return that register to 0 exactly, by swaps, so a search's
-    final amplitudes off the slice are exactly +-0, captured or not, and
-    the marginal is the full state's, byte for byte.  Registers are
-    unentangled after the final step, so per-register marginals reproduce
-    the joint measurement distribution.  One joint marginal over all
-    sample qubits is summed down to each register's.
+    Steps 3-5 return that register to 0 exactly, by swaps under capture
+    and as a phase flip without, so a search's final amplitudes off the
+    slice are exactly +-0 and the marginal is the full state's, byte for
+    byte.  Registers are unentangled after the final step, so
+    per-register marginals reproduce the joint measurement distribution.
+    One joint marginal over all sample qubits is summed down to each
+    register's.
     """
     if final_state.n_qubits != params.total_qubits:
         raise DomainError(

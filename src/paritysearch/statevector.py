@@ -5,21 +5,20 @@ search instance or its layout.  It has the primitives the search circuit
 needs: Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
 flips and phase flips, the inversion-about-average operator, marginal
 measurement, and state comparison modulo global phase.  The uncaptured
-circuit applies two fused primitives to two rows of its state, each a
-state of its own over the same memory: the query for such a pair
-(`swap_where_odd`), its one form, and a kernel of small real blocks, one
-inversion about average per register (`apply_register_inversions`).
+circuit applies two fused primitives to one row of its state, a state
+of its own over the same memory: the query as a phase flip on that row
+(`negate_where_odd`), its one form, and a kernel of small real blocks,
+one inversion about average per register (`apply_register_inversions`).
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
 value or a bit pattern, bit b of the value corresponds to the b-th
-qubit in the list.  Gates mutate the state in place and return it; the
-gates on a pair of states return nothing.
+qubit in the list.  Gates mutate the state in place and return it.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
 slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, one piece of 2**15 at a time), and the query's parity
-bits, swap indices and swapped values for half a piece.  sigma_z and the
+at most 2**12, one piece of 2**15 at a time), and the query's masks
+under its key and their parity bits for half a piece.  sigma_z and the
 one-qubit Hadamard, one strided pass each, hold only NumPy's fixed
 buffers.
 Every pass runs on the calling thread.  The literal inversion about
@@ -54,7 +53,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
 _BATCH_AMPLITUDES = 1 << 13
-# Amplitudes per piece for the blocks and the pair gates: about a
+# Amplitudes per piece for the blocks and the query: about a
 # level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
 # A block widened to rows of at most this many floats beats the block
@@ -279,41 +278,34 @@ def _check_masks(masks: np.ndarray, width: int) -> np.ndarray:
     return masks
 
 
-def swap_where_odd(
-    lower: StateVector, upper: StateVector, masks: np.ndarray, parity_key: int
-) -> None:
-    """Swap the two states' amplitudes at each index c where masks[c] AND
-    parity_key has odd parity, in place, half a piece of each at a time:
-    steps 3-5 of the search, its one query, on its live row pair.
+def negate_where_odd(state: StateVector, masks: np.ndarray, parity_key: int) -> StateVector:
+    """Negate the amplitude at each index c where masks[c] AND parity_key
+    has odd parity, in place, half a piece at a time: steps 3-5 of the
+    search, its one query, on its live row.
 
-    The pair is the two rows of a qubit above the others (the ancilla),
-    held as two states of equal size, where the register between them
-    reads 0.  The query maps that register from 0 to masks[c], flips
-    the ancilla where the value has odd parity under the key, and maps
-    back, so column c's amplitudes cross between the rows exactly where
-    masks[c] has odd parity: the three maps composed as index arithmetic.
-    The key is cut to the largest mask's bit length, so that a key of
-    any size meets the int64 masks.  Each chunk's swap indices and two
-    copies of one side's values take at most 40 bytes per amplitude pair,
-    more than its masks under the key and their parity bits.
+    The row is where a register above it reads 0 and a qubit above that
+    (the ancilla) reads 0; the ancilla's other row is its negation, the
+    |-> that step 2b made.  The query maps the register from 0 to
+    masks[c], flips the ancilla where the value has odd parity under the
+    key, and maps back, so column c crosses to the other row exactly
+    where masks[c] has odd parity: there the row takes the other row's
+    amplitude, its own negated.  The key is cut to the largest mask's bit
+    length, so that a key of any size meets the int64 masks.  Each chunk
+    holds its masks under the key and their parity bits, at most 10 bytes
+    per amplitude.
     """
-    if lower.n_qubits != upper.n_qubits:
-        raise DomainError(f"dimension mismatch: {lower.n_qubits} vs {upper.n_qubits} qubits")
     if parity_key < 0:
         raise DomainError(f"parity key {parity_key} must be >= 0")
-    width = lower.amplitudes.size
+    width = state.amplitudes.size
     masks = _check_masks(masks, width)
     key = parity_key & ((1 << int(masks.max()).bit_length()) - 1)
     cols = max(_PIECE_AMPLITUDES // 2, 1)
     for c in range(0, width, cols):
         odd = np.bitwise_count(masks[c : c + cols] & key) & 1
-        # Each parity is 0 or 1, so its bytes are bools, which
-        # flatnonzero scans several times faster than uint8.
-        index = np.flatnonzero(odd.view(bool))
-        index += c
-        values = lower.amplitudes.take(index)
-        lower.amplitudes.put(index, upper.amplitudes.take(index))
-        upper.amplitudes.put(index, values)
+        chunk = state.amplitudes[c : c + cols]
+        # Each parity is 0 or 1, so its bytes are bools.
+        np.negative(chunk, out=chunk, where=odd.view(bool))
+    return state
 
 
 def apply_sigma_z(state: StateVector, qubit: int) -> StateVector:

@@ -288,34 +288,43 @@ QUERY_CASES = [
 
 
 class TestQueryPass:
-    """Steps 3-5 applied as the swaps of one row pair change the same bytes
-    as their literal records, from any state that holds amplitudes on
-    that pair alone, whatever the piece size."""
+    """Steps 3-5 applied as a phase flip on the lower live row, the upper
+    row then written as its negation, change the same bytes as their
+    literal records, from any state whose live rows are a row x and -x
+    and whose other rows are zero, whatever the piece size."""
 
     @staticmethod
     def literal_and_fused(n, eta, marks, seed, runs):
-        # The pair is the rows where the incidence register reads 0, one
-        # per ancilla value, as `run_circuit` finds them.
+        # The rows are where the incidence register reads 0, one per
+        # ancilla value, as `run_circuit` finds them.
         params = SearchParameters(n, eta)
         pred = BooleanPredicate(n, marks)
         k = params.item_bits * eta
         rng = np.random.default_rng(seed)
         literal = StateVector(params.total_qubits, np.zeros(1 << params.total_qubits))
         rows = literal.amplitudes.reshape(2, -1, 1 << k)[:, 0]
-        rows[...] = rng.normal(size=rows.shape) + 1j * rng.normal(size=rows.shape)
+        rows[0] = rng.normal(size=1 << k) + 1j * rng.normal(size=1 << k)
+        np.negative(rows[0], out=rows[1])
         start = literal.copy()
         for record in build_circuit(params, pred):
             if record.step in ("step3", "step4", "step5"):
                 apply_record(literal, record)
+        # The index oracle: the lower row negated where a column's net
+        # incidence flips meet the marks an odd number of times.
+        masks = _occurrence_masks(params)
+        odd = np.array([bin(int(m) & pred.to_mask()).count("1") & 1 for m in masks], dtype=bool)
+        expected = np.where(odd, -start.amplitudes[: 1 << k], start.amplitudes[: 1 << k])
         for _ in runs:
             fused = start.copy()
-            pair = fused.amplitudes.reshape(2, -1, 1 << k)[:, 0]
-            lower, upper = (StateVector(k, row) for row in pair)
-            sv.swap_where_odd(lower, upper, _occurrence_masks(params), pred.to_mask())
+            lower, upper = fused.amplitudes.reshape(2, -1, 1 << k)[:, 0]
+            sv.negate_where_odd(StateVector(k, lower), masks, pred.to_mask())
+            np.negative(lower, out=upper)
+            assert np.array_equal(lower, expected)
+            assert np.array_equal(upper, -expected)
             assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
-    # Pieces of 2, 8 and 16 amplitudes cut even the smallest row pair into
-    # many chunks, down to one column each.
+    # Pieces of 2, 8 and 16 amplitudes cut even the smallest row into many
+    # chunks, down to one column each.
     @pytest.mark.parametrize("n, eta, marks", QUERY_CASES)
     def test_matches_records(self, n, eta, marks, monkeypatch):
         def runs():
@@ -336,11 +345,12 @@ class TestQueryPass:
             self.literal_and_fused(n, eta, marks, seed, runs=[None])
 
     def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
-        # Step 4 rides inside the row pair's swaps: no flip runs on its own.
+        # Step 4 rides inside the lower row's phase flip: no flip runs on
+        # its own.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
-        swap = sv.swap_where_odd
-        monkeypatch.setattr(sv, "swap_where_odd", lambda *a: calls.append(a[3]) or swap(*a))
+        negate = sv.negate_where_odd
+        monkeypatch.setattr(sv, "negate_where_odd", lambda *a: calls.append(a[2]) or negate(*a))
         run_circuit(SearchParameters(4, 2), BooleanPredicate.from_marks(4, [1, 3]))
         assert calls == [0b101]
 
@@ -351,8 +361,28 @@ SENTINEL = np.uint64(0x7FF0_0000_0000_0BAD)
 
 
 class TestLiveRows:
-    """The uncaptured run applies every step to the two rows where the
-    incidence register reads 0, in place, and to nothing else."""
+    """The uncaptured run applies every step to the lower of the two rows
+    where the incidence register reads 0, in place, writes the upper one
+    as its negation, and touches nothing else."""
+
+    # The ancilla is in |-> from step 2b on, and only the step 4 flips act
+    # on it, each swapping the halves of a slice: the half where it reads
+    # 1 is the other half negated, value for value, in every snapshot of
+    # the literal gates.
+    def test_upper_row_is_the_lower_negated_under_capture(self):
+        for params, pred in small_grid():
+            run = run_circuit(params, pred, capture=True)
+            for step in ("step2", "step3", "step4", "step5", "step6"):
+                lower, upper = run.intermediates[step].amplitudes.reshape(2, -1)
+                assert np.array_equal(upper, -lower), step
+
+    # Likewise every uncaptured final state, also on rows of several pieces.
+    def test_upper_row_is_the_lower_negated(self):
+        larger = [(SearchParameters(n, eta), BooleanPredicate.from_marks(n, {1} | scattered(n)))
+                  for n, eta in ((2, 16), (4, 6), (8, 3), (16, 1))]
+        for params, pred in [*small_grid(), *larger]:
+            lower, upper = run_circuit(params, pred).final_state.amplitudes.reshape(2, -1)
+            assert np.array_equal(upper, -lower)
 
     def test_steps_2a_2b_apply_no_gate(self, monkeypatch):
         # The rows after steps 2a-2b are a known state, H^k|0> (x) |->,

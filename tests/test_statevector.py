@@ -37,7 +37,7 @@ from paritysearch.statevector import (
     apply_value_controlled_phase,
     fidelity_mod_phase,
     marginal_distribution,
-    swap_where_odd,
+    negate_where_odd,
     zero_state,
 )
 
@@ -51,20 +51,31 @@ def random_state(n_qubits: int, seed: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def row_pair(state: StateVector, low: int) -> tuple[StateVector, StateVector]:
+def row_pair(state: StateVector, low: int) -> np.ndarray:
     """Rows 0 and half of the state cut into rows of 2**low amplitudes,
-    the pair h = 0 across the top qubit, as two states over its memory:
-    where a search keeps its two live rows."""
-    rows = state.amplitudes.reshape(2, -1, 1 << low)[:, 0]
-    return tuple(StateVector(low, row) for row in rows)
+    the pair h = 0 across the top qubit, as a view of its memory: where a
+    search keeps its two live rows."""
+    return state.amplitudes.reshape(2, -1, 1 << low)[:, 0]
 
 
-def row_pair_state(n_qubits: int, low: int, seed: int):
-    """A state random on its row pair h = 0 (see `row_pair`) and zero
-    elsewhere, and that pair."""
+def minus_pair_state(n_qubits: int, low: int, seed: int) -> StateVector:
+    """A state random on the lower row of its pair h = 0 (see `row_pair`),
+    that row negated on the upper one, and zero elsewhere: a search's
+    state while its top qubit, the ancilla, is in |->."""
     state = random_state(n_qubits, seed)
     state.amplitudes.reshape(2, -1, 1 << low)[:, 1:] = 0.0
-    return state, row_pair(state, low)
+    lower, upper = row_pair(state, low)
+    np.negative(lower, out=upper)
+    return state
+
+
+def query_on_row(state: StateVector, low: int, masks, key: int) -> None:
+    """The query as a search applies it to its pair h = 0: the lower row
+    negated where the masks under the key have odd parity, then the upper
+    row written as the lower one negated."""
+    lower, upper = row_pair(state, low)
+    negate_where_odd(StateVector(low, lower), masks, key)
+    np.negative(lower, out=upper)
 
 
 class TestZeroState:
@@ -359,7 +370,7 @@ class TestFusedPrimitives:
         dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
         self.check_query_pass(n, low, key, dtype, seed)
 
-    # With pieces of 8 or 16 amplitudes the row pair goes in several
+    # With pieces of 8 or 16 amplitudes the lower row goes in several
     # chunks of a few columns; with the default piece, in one.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=40)
@@ -391,14 +402,14 @@ class TestFusedPrimitives:
 
     @classmethod
     def check_query_pass(cls, n, low, key, dtype, seed):
-        """`swap_where_odd` on the row pair h = 0 of an n-qubit state that
-        is random on that pair and zero elsewhere, against the oracle on
-        the whole state."""
+        """`query_on_row` on the pair h = 0 of an n-qubit state that holds
+        a random row and its negation on that pair and zero elsewhere,
+        against the oracle on the whole state."""
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        state, pair = row_pair_state(n, low, seed)
+        state = minus_pair_state(n, low, seed)
         expected = cls.query_oracle(state, low, masks, key)
-        swap_where_odd(*pair, masks.astype(dtype), key)
+        query_on_row(state, low, masks.astype(dtype), key)
         assert np.array_equal(state.amplitudes, expected)
 
 
@@ -470,13 +481,14 @@ class TestLiveAmplitudes:
 
 
 class TestRowPair:
-    """The query's swap rule on a qubit whose two halves are held as two
-    states of equal size: one row pair."""
+    """The query's phase flip on one row of a pair across a qubit whose
+    other row is its negation: the pair's swaps, on one row."""
 
     # The pair is rows 0 and 8 of 16 (4 high qubits): with no other row
     # live, the index oracle of the query on the whole state moves only
-    # that pair's amplitudes.  Pieces of 8 and 16 amplitudes cut its
-    # 2**low columns into many chunks.
+    # that pair's amplitudes, and leaves the upper row the lower one
+    # negated.  Pieces of 8 and 16 amplitudes cut its 2**low columns into
+    # many chunks.
     @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000), data=st.data())
@@ -485,47 +497,44 @@ class TestRowPair:
         key = data.draw(st.integers(0, 7))
         rng = np.random.default_rng(seed)
         masks = rng.integers(0, 16, size=1 << low)
-        state, pair = row_pair_state(low + 4, low, seed)
+        state = minus_pair_state(low + 4, low, seed)
         grid = TestFusedPrimitives.query_oracle(state, low, masks, key).reshape(16, -1)
-        lower, upper = (StateVector(low, row.amplitudes.copy()) for row in pair)
+        lower = StateVector(low, row_pair(state, low)[0].copy())
         with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            swap_where_odd(lower, upper, masks, key)
+            negate_where_odd(lower, masks, key)
         assert np.array_equal(lower.amplitudes, grid[0])
-        assert np.array_equal(upper.amplitudes, grid[8])
+        assert np.array_equal(np.negative(lower.amplitudes), grid[8])
 
     def test_swap_where_odd_reads_only_the_masks_bits(self):
         # Key bits above the largest mask change nothing.
-        lower, upper = random_state(3, seed=1), random_state(3, seed=2)
+        state = random_state(3, seed=1)
         masks = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        swap_where_odd(lower, upper, masks, 0b1110)
+        negate_where_odd(state, masks, 0b1110)
         expected = random_state(3, seed=1).amplitudes
         odd = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=bool)
-        expected[odd] = random_state(3, seed=2).amplitudes[odd]
-        assert np.array_equal(lower.amplitudes, expected)
+        expected[odd] = -expected[odd]
+        assert np.array_equal(state.amplitudes, expected)
 
     def test_pair_gates_reject_bad_arguments(self):
-        a, b = zero_state(2), zero_state(3)
-        with pytest.raises(DomainError, match="dimension mismatch"):
-            swap_where_odd(a, b, np.zeros(4, dtype=int), 0)
         with pytest.raises(DomainError, match="parity key"):
-            swap_where_odd(a, zero_state(2), np.zeros(4, dtype=int), -1)
+            negate_where_odd(zero_state(2), np.zeros(4, dtype=int), -1)
         for masks in (np.zeros(3, dtype=int), np.zeros(4), np.array([0, -1, 2, 3]),
                       np.array([0, 1, 2, 1 << 63], dtype=np.uint64)):
             with pytest.raises(DomainError, match="masks"):
-                swap_where_odd(a, zero_state(2), masks, 1)
+                negate_where_odd(zero_state(2), masks, 1)
 
 
 class TestXorWorkers:
     """The query runs in the calling thread and starts no worker; it
-    divides the row pair into chunks of half a piece.  How it divides
+    divides its row into chunks of half a piece.  How it divides
     them changes no byte, and passes in other threads do not disturb it."""
 
     # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
     LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
 
-    # Pieces of 2**9 amplitudes cut the row pair of every layout into
-    # many chunks; the default piece into fewer, or one.  Both match the
-    # index oracle.
+    # Pieces of 2**9 amplitudes cut the row of every layout into many
+    # chunks; the default piece into fewer, or one.  Both match the index
+    # oracle.
     @pytest.mark.parametrize("n_items, eta", LAYOUTS)
     def test_split_is_exact(self, n_items, eta, monkeypatch):
         params = SearchParameters(n_items, eta)
@@ -534,12 +543,12 @@ class TestXorWorkers:
         masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
         key = int(rng.integers(1 << n_items))
         expected = TestFusedPrimitives.query_oracle(
-            row_pair_state(params.total_qubits, low, eta)[0], low, masks, key
+            minus_pair_state(params.total_qubits, low, eta), low, masks, key
         )
         for piece in (sv._PIECE_AMPLITUDES, 1 << 9):
             monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-            state, pair = row_pair_state(params.total_qubits, low, eta)
-            swap_where_odd(*pair, masks, key)
+            state = minus_pair_state(params.total_qubits, low, eta)
+            query_on_row(state, low, masks, key)
             assert np.array_equal(state.amplitudes, expected)
 
     # With pieces of 2 amplitudes every chunk is one amplitude pair.
@@ -553,24 +562,24 @@ class TestXorWorkers:
     def test_split_under_fast_thread_switches(self, monkeypatch):
         # Two threads run the query on states of their own while the
         # interpreter switches threads every microsecond.  With pieces of
-        # 8 amplitudes the halves of a 12-qubit state take 512 chunks; any
-        # state shared between the calls would break equality with the
-        # one-thread result.
+        # 8 amplitudes the lower half of a 12-qubit state takes 512
+        # chunks; any state shared between the calls would break equality
+        # with the one-thread result.
         monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
         n = 12
         masks = np.random.default_rng(5).integers(0, 1 << 10, size=1 << (n - 1))
 
-        def swapped():
-            state = random_state(n, seed=5)
-            swap_where_odd(*row_pair(state, n - 1), masks, 1)
+        def queried():
+            state = minus_pair_state(n, n - 1, seed=5)
+            query_on_row(state, n - 1, masks, 1)
             return state
 
-        expected = swapped()
+        expected = queried()
         results = []
 
         def run():
             for _ in range(20):
-                state = swapped()
+                state = queried()
                 results.append(np.array_equal(state.amplitudes, expected.amplitudes))
 
         interval = sys.getswitchinterval()
@@ -595,10 +604,10 @@ class TestMemoryContract:
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
     8192 (128 KiB); the query holds, for a chunk of half a piece (2**14
-    amplitude pairs), the masks under the key and their parity bits, then
-    the int64 indices of the pairs it swaps and two copies of one side's
-    values: at most 40 bytes per pair, 640 KiB, when every pair swaps
-    (641 KiB traced).
+    amplitudes), the int64 masks under the key and their uint8 parity
+    bits, and negates in place: at most 10 bytes per amplitude, 160 KiB,
+    whichever amplitudes it negates (161 KiB traced), and writing the
+    upper row as the lower one negated holds nothing.
     Fixed bounds leave room for the Python objects made per call.
     """
 
@@ -666,13 +675,12 @@ class TestMemoryContract:
     # low=15, part of one at low=9 and low=3.  Each case runs several times.
     def check_query_pass(self, state, low, keys):
         masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
-        pair = row_pair(state, low)
         for key in keys:
             for _ in range(self.QUERY_REPEATS):
-                peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, key))
+                peak = self.traced_peak(lambda: query_on_row(state, low, masks, key))
                 assert peak <= self.QUERY_BOUND
 
-    # Key 0 swaps no column: the query is the XOR permutation and its inverse.
+    # Key 0 negates no column: the query is the XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
     def test_xor_permutation(self, state, low):
         self.check_query_pass(state, low, (0,))
@@ -683,31 +691,31 @@ class TestMemoryContract:
         keys = (1, 0x5555 & (high // 2 - 1), high // 2 - 1)
         self.check_query_pass(state, low, keys)
 
-    # The two halves of the state as a row pair: the swaps hold one chunk's
-    # temporaries.
+    # The two halves of the state as a row pair: the query on the lower
+    # half holds one chunk's temporaries.
     def test_row_pair(self, state):
-        lower, upper = row_pair(state, self.N_QUBITS - 1)
         masks = np.arange(1 << (self.N_QUBITS - 1)) % (1 << 10)
         for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, 0x155))
+            peak = self.traced_peak(
+                lambda: query_on_row(state, self.N_QUBITS - 1, masks, 0x155))
             assert peak <= self.QUERY_BOUND
 
     def test_query_pass_with_wide_masks(self):
-        # Masks below 2**26 on a row pair of 2**10 amplitudes: each mask's
+        # Masks below 2**26 on a row of 2**10 amplitudes: each mask's
         # parity under the key comes from the mask itself, whatever its
         # size, and matches bin()'s count of its bits.
         rng = np.random.default_rng(4)
         masks = rng.integers(0, 1 << 26, size=1 << 10)
         masks[0] = (1 << 26) - 1
         key = 0x2AAAAAA | 1 << 70
-        lower, upper = random_state(10, seed=5), random_state(10, seed=6)
-        swap_where_odd(lower, upper, masks, key)
+        row = random_state(10, seed=5)
+        negate_where_odd(row, masks, key)
         odd = np.array([bin(int(m) & key).count("1") & 1 for m in masks], dtype=bool)
         expected = random_state(10, seed=5).amplitudes
-        expected[odd] = random_state(10, seed=6).amplitudes[odd]
-        assert np.array_equal(lower.amplitudes, expected)
+        expected[odd] = -expected[odd]
+        assert np.array_equal(row.amplitudes, expected)
         for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: swap_where_odd(lower, upper, masks, key))
+            peak = self.traced_peak(lambda: negate_where_odd(row, masks, key))
             assert peak <= self.QUERY_BOUND
 
     def test_xor_permutation_below_a_small_state(self):
@@ -715,9 +723,8 @@ class TestMemoryContract:
         n, low = 15, 6
         state = random_state(n, seed=2)
         masks = np.arange(1 << low) % (1 << (n - low))
-        pair = row_pair(state, low)
         for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: swap_where_odd(*pair, masks, 0x55))
+            peak = self.traced_peak(lambda: query_on_row(state, low, masks, 0x55))
             assert peak < state.amplitudes.nbytes
 
 
