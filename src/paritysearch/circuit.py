@@ -251,21 +251,37 @@ def _sample_marginal(final_state: StateVector, params: SearchParameters) -> np.n
     return out
 
 
+def _register_marginals(joint: np.ndarray, n: int, count: int) -> np.ndarray:
+    """The (count, n) marginals of the `count` base-n digits of a flat
+    joint, top digit first: the joint as (n**(count-h), n**h), h = count // 2,
+    summed over each axis, and each half likewise."""
+    if count == 1:
+        return joint.reshape(1, n)
+    h = count // 2
+    grid = joint.reshape(-1, n**h)
+    return np.concatenate((_register_marginals(grid.sum(axis=1), n, count - h),
+                           _register_marginals(grid.sum(axis=0), n, h)))
+
+
 def measure_samples(
     final_state: StateVector,
     params: SearchParameters,
     rng: np.random.Generator | int | None = None,
 ) -> SampleTuple:
     """Draw one item per sample register from its exact marginal on the
-    slice where the incidence register reads 0; refuse a slice of no weight.
+    slice where the incidence register reads 0; refuse a slice of no
+    weight or of weights that are not finite.
 
     Steps 3-5 return that register to 0 exactly, by swaps under capture
     and as a phase flip without, so a search's final amplitudes off the
     slice are exactly +-0 and the marginal is the full state's, byte for
     byte.  Registers are unentangled after the final step, so
     per-register marginals reproduce the joint measurement distribution.
-    One joint marginal over all sample qubits is summed down to each
-    register's.
+    One halving reduction of the joint marginal over all sample qubits
+    gives every register's: the joint is read twice, each lower level at
+    most N**ceil(n_samples/2) values.  One uniform per register, drawn at
+    once, picks the item as `rng.choice(N, p=p)` would, from the same
+    uniforms in the same order.
     """
     if final_state.n_qubits != params.total_qubits:
         raise DomainError(
@@ -273,16 +289,20 @@ def measure_samples(
         )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    joint = _sample_marginal(final_state, params).reshape((params.n_items,) * params.n_samples)
-    values = []
-    # Register i is the digit of weight N**(i-1), axis n_samples - i.
-    for axis in reversed(range(params.n_samples)):
-        marg = joint.sum(axis=tuple(a for a in range(params.n_samples) if a != axis))
-        total = marg.sum()
-        if total == 0:
-            raise DomainError("state has no amplitude where the incidence register reads 0")
-        values.append(int(rng.choice(params.n_items, p=marg / total)) + 1)
-    return SampleTuple(tuple(values))
+    joint = _sample_marginal(final_state, params)
+    # Register i is the digit of weight N**(i-1), row n_samples - i.
+    marg = _register_marginals(joint, params.n_items, params.n_samples)[::-1]
+    total = marg.sum(axis=1, keepdims=True)
+    # Every row sums the whole joint, so row 0 shows a zero, NaN or inf.
+    if total[0, 0] == 0:
+        raise DomainError("state has no amplitude where the incidence register reads 0")
+    if not np.isfinite(total[0, 0]):
+        raise DomainError("state's weights where the incidence register reads 0 are not finite")
+    # choice's draw: the normalised cumulative sum, searched on the right.
+    cdf = (marg / total).cumsum(axis=1)
+    cdf /= cdf[:, -1:]
+    values = (cdf <= rng.random(params.n_samples)[:, None]).sum(axis=1) + 1
+    return SampleTuple(tuple(values.tolist()))
 
 
 def winner_from_frequencies(

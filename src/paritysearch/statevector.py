@@ -266,16 +266,16 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     return state
 
 
-def _check_masks(masks: np.ndarray, width: int) -> np.ndarray:
-    """`width` integer masks, each >= 0 and below 2**63, as intp."""
+def _check_masks(masks: np.ndarray, width: int) -> tuple[np.ndarray, int]:
+    """`width` integer masks, each >= 0 and below 2**63, in their own
+    dtype, and the largest of them."""
     masks = np.asarray(masks)
     if masks.shape != (width,) or masks.dtype.kind not in "iu":
         raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
-    # Unsigned masks from 2**63 on wrap negative here.
-    masks = masks.astype(np.intp, copy=False)
-    if masks.min() < 0:
+    largest = int(masks.max())
+    if masks.min() < 0 or largest >> 63:
         raise DomainError("masks must be >= 0 and below 2**63")
-    return masks
+    return masks, largest
 
 
 def negate_where_odd(state: StateVector, masks: np.ndarray, parity_key: int) -> StateVector:
@@ -290,15 +290,15 @@ def negate_where_odd(state: StateVector, masks: np.ndarray, parity_key: int) -> 
     key, and maps back, so column c crosses to the other row exactly
     where masks[c] has odd parity: there the row takes the other row's
     amplitude, its own negated.  The key is cut to the largest mask's bit
-    length, so that a key of any size meets the int64 masks.  Each chunk
-    holds its masks under the key and their parity bits, at most 10 bytes
-    per amplitude.
+    length, so that a key of any size fits the masks' own integer dtype,
+    which no pass converts.  Each chunk holds its masks under the key and
+    their parity bits, at most 10 bytes per amplitude.
     """
     if parity_key < 0:
         raise DomainError(f"parity key {parity_key} must be >= 0")
     width = state.amplitudes.size
-    masks = _check_masks(masks, width)
-    key = parity_key & ((1 << int(masks.max()).bit_length()) - 1)
+    masks, largest = _check_masks(masks, width)
+    key = parity_key & ((1 << largest.bit_length()) - 1)
     cols = max(_PIECE_AMPLITUDES // 2, 1)
     for c in range(0, width, cols):
         odd = np.bitwise_count(masks[c : c + cols] & key) & 1

@@ -26,7 +26,13 @@ from paritysearch import (
     run_search,
 )
 from paritysearch import statevector as sv
-from paritysearch.circuit import _occurrence_masks, _sample_marginal, apply_record
+from paritysearch.analytic import per_sample_distribution
+from paritysearch.circuit import (
+    _occurrence_masks,
+    _register_marginals,
+    _sample_marginal,
+    apply_record,
+)
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
@@ -462,6 +468,19 @@ def full_state_marginal(state: StateVector, params: SearchParameters) -> np.ndar
     return np.einsum("ij,ij->j", rows, rows).reshape(-1, 2).sum(axis=1)
 
 
+def per_register_choice(state: StateVector, params: SearchParameters, rng) -> tuple:
+    """Samples as measurement drew them one register at a time: the joint
+    marginal summed over every other register's axis, then one
+    `rng.choice` per register, register 1 first."""
+    eta = params.n_samples
+    joint = _sample_marginal(state, params).reshape((params.n_items,) * eta)
+    values = []
+    for axis in reversed(range(eta)):
+        marg = joint.sum(axis=tuple(a for a in range(eta) if a != axis))
+        values.append(int(rng.choice(params.n_items, p=marg / marg.sum())) + 1)
+    return tuple(values)
+
+
 class TestMeasurement:
     def test_same_seed_same_samples(self):
         params = SearchParameters(4, 3)
@@ -513,6 +532,55 @@ class TestMeasurement:
                     marg = joint.sum(axis=tuple(a for a in range(eta) if a != axis))
                     expected.append(int(draws.choice(n, p=marg / marg.sum())) + 1)
                 assert measure_samples(final, params, rng=seed).values == tuple(expected)
+
+    def test_samples_and_generator_match_per_register_choice(self):
+        # One uniform per register, drawn together, is what choice draws
+        # one at a time: the same samples, and the generator left in the
+        # same state.
+        instances = [*small_grid(),
+                     (SearchParameters(2, 21), BooleanPredicate.from_marks(2, [1]))]
+        for params, pred in instances:
+            final = run_circuit(params, pred).final_state
+            for seed in range(3):
+                ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+                samples = measure_samples(final, params, rng=ours)
+                assert samples.values == per_register_choice(final, params, theirs)
+                assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_random_tie_break_after_measurement_is_unchanged(self):
+        # A seeded search with random ties picks what per-register choice
+        # and the tie-break after it, on one generator, would pick.
+        ties = 0
+        for params, pred in small_grid():
+            final = run_circuit(params, pred).final_state
+            for seed in range(3):
+                outcome = run_search(params, pred, seed=seed, tie_break="random")
+                rng = np.random.default_rng(seed)
+                samples = SampleTuple(per_register_choice(final, params, rng))
+                expected = majority_postprocess(samples, pred, tie_break="random", rng=rng)
+                assert outcome == expected
+                ties += expected.tie_detected
+        assert ties > 0
+
+    def test_register_marginals_match_tensor_marginals_and_model(self):
+        # Row i-1 of the halving reduction, reversed, is register i's
+        # marginal: against the tensor marginal of search states and of
+        # states entangled on the live rows, whose registers differ, and
+        # against the model's per-item probabilities on search states.
+        instances = [*small_grid(), *((SearchParameters(n, eta), BooleanPredicate.from_marks(
+            n, {1} | scattered(n))) for n, eta in ((2, 10), (4, 5), (8, 3), (16, 1)))]
+        rng = np.random.default_rng(11)
+        for params, pred in instances:
+            n, eta = params.n_items, params.n_samples
+            final = run_circuit(params, pred).final_state
+            model = per_sample_distribution(amplitudes(n, pred.marked_count), pred)
+            for state in (final, live_row_state(params, rng)):
+                marg = _register_marginals(_sample_marginal(state, params), n, eta)[::-1]
+                for i in range(1, eta + 1):
+                    tensor = marginal_distribution(state, params.sample_qubits(i))
+                    assert np.max(np.abs(marg[i - 1] - tensor)) <= 1e-15
+                    if state is final:
+                        assert np.max(np.abs(marg[i - 1] - model)) <= 1e-12
 
     def test_zero_unmarked_amplitude_forces_marked_samples(self):
         params = SearchParameters(4, 3)
@@ -596,6 +664,18 @@ class TestMeasurement:
         for amps in (np.zeros_like(off_rows), off_rows):
             with pytest.raises(DomainError, match="no amplitude where the incidence register"):
                 measure_samples(StateVector(params.total_qubits, amps), params, rng=1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weights_that_are_not_finite_are_refused(self, bad):
+        # NaN or inf on a live row leaves no distribution to draw from:
+        # a one-line domain error, not an item picked from NaNs.
+        params = SearchParameters(4, 2)
+        final = run_circuit(params, BooleanPredicate.from_marks(4, [1])).final_state
+        for row in (0, 1):
+            state = final.copy()
+            state.amplitudes.reshape(2, -1, 1 << 4)[row, 0, 5] = bad
+            with pytest.raises(DomainError, match="not finite"):
+                measure_samples(state, params, rng=1)
 
     def test_search_states_are_zero_off_the_live_rows(self, monkeypatch):
         # Steps 3-5 return the incidence register to 0 by swaps, in both

@@ -700,6 +700,15 @@ class TestMemoryContract:
                 lambda: query_on_row(state, self.N_QUBITS - 1, masks, 0x155))
             assert peak <= self.QUERY_BOUND
 
+    # Masks of other integer dtypes are read in their own dtype a chunk at
+    # a time, on a row of the whole state: no copy of them as int64 (2 MiB).
+    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8])
+    def test_query_pass_with_unsigned_masks(self, state, dtype):
+        masks = (np.arange(state.amplitudes.size) % 256).astype(dtype)
+        for _ in range(self.QUERY_REPEATS):
+            peak = self.traced_peak(lambda: negate_where_odd(state, masks, 0x155))
+            assert peak <= self.QUERY_BOUND
+
     def test_query_pass_with_wide_masks(self):
         # Masks below 2**26 on a row of 2**10 amplitudes: each mask's
         # parity under the key comes from the mask itself, whatever its
