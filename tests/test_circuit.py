@@ -491,10 +491,10 @@ class TestMeasurement:
         assert a == b
 
     def test_joint_marginal_draws_match_per_register_draws(self):
-        # Summing one joint marginal down per register must feed
-        # rng.choice the same distributions, in the same order, as taking
-        # each register's marginal from the state.  The registers get
-        # different random amplitudes so that their order shows.
+        # Measurement must draw what rng.choice draws from each
+        # register's marginal taken from the state, register 1 first.
+        # The registers get different random amplitudes so that their
+        # order shows.
         rng = np.random.default_rng(5)
         for n, eta in [(2, 5), (4, 3), (8, 2)]:
             params = SearchParameters(n, eta)
