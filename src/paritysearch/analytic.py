@@ -88,18 +88,10 @@ def _check_predicate(model: AmplitudeModel, pred: BooleanPredicate) -> None:
         )
 
 
-def _marked(model: AmplitudeModel, pred: BooleanPredicate) -> np.ndarray:
-    """Whether each item is marked (index j-1 holds item j), built from
-    the marks alone.  N entries: call it only once the input is priced."""
-    marked = np.zeros(model.n_items, dtype=bool)
-    marked[np.fromiter(pred.marks, np.int64, pred.marked_count) - 1] = True
-    return marked
-
-
 def per_sample_distribution(model: AmplitudeModel, pred: BooleanPredicate) -> np.ndarray:
     """Measurement probability of each item (index j-1 holds item j)."""
     _check_predicate(model, pred)
-    return np.where(_marked(model, pred), model.p_marked, model.p_unmarked)
+    return np.where(pred.to_bools(), model.p_marked, model.p_unmarked)
 
 
 def analytic_product_state(
@@ -116,8 +108,7 @@ def analytic_product_state(
     item_bits = model.n_items.bit_length() - 1
     total_qubits = item_bits * n_samples
     sv.check_capacity(total_qubits, 1, "product state", f"{item_bits}*{sv.compact(n_samples)}")
-    single = np.where(_marked(model, pred), complex(model.marked_amp),
-                      complex(model.unmarked_amp))
+    single = np.where(pred.to_bools(), complex(model.marked_amp), complex(model.unmarked_amp))
     full = single
     for _ in range(n_samples - 1):
         full = np.kron(full, single)
@@ -337,7 +328,7 @@ def _exact_vote(model: AmplitudeModel, pred: BooleanPredicate, n_samples: int,
             f"exact computation needs ~{sv.compact(work)} cell updates, above the cap of "
             f"{DEFAULT_EXACT_WORK_CAP}; use the Monte Carlo estimator instead"
         )
-    positions = np.flatnonzero(_marked(model, pred) == marked_wins)
+    positions = np.flatnonzero(pred.to_bools() == marked_wins)
     p_designated, p_other = model.p_marked, model.p_unmarked
     if not marked_wins:
         p_designated, p_other = p_other, p_designated
@@ -469,7 +460,7 @@ def monte_carlo_success_probability(
     # Priced before any N-sized array exists.
     width = _row_width(model.n_items, n_samples)
     sv.check_memory(_BYTES_PER_ENTRY * width, f"a Monte Carlo row of {width} entries")
-    is_marked = _marked(model, pred)
+    is_marked = pred.to_bools()
     draw = _count_draw(model, is_marked, n_samples)
     chunk = max(1, _CHUNK_ENTRIES // width)
     root = np.random.SeedSequence(seed)

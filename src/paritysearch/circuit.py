@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Mapping
 
 import numpy as np
@@ -147,22 +146,20 @@ def apply_record(state: StateVector, record: GateRecord) -> StateVector:
     raise DomainError(f"unknown gate kind {record.kind!r}")
 
 
-@lru_cache(maxsize=8)
-def _occurrence_masks(params: SearchParameters) -> np.ndarray:
-    """Net incidence flips of steps 3 and 5, by sample-register value.
+def _query_bits(params: SearchParameters, pred: BooleanPredicate) -> np.ndarray:
+    """Whether steps 3-5 negate each column of a live row: the parity,
+    under step 4's controls, of the incidence value step 3 writes there.
 
-    masks[c] is the XOR over registers i of 1 << digit_i(c): incidence
-    qubit j, bit j-1 above the sample qubits, flips once per register
-    that holds item j.  Built one register at a time: with register i
-    the top digit d, masks[d * N**(i-1) + c'] = (1 << d) XOR the masks
-    of the registers below at c'.  Read-only, since every caller shares it.
+    Step 3's flips are XORs and parity is linear over XOR, so the bit of
+    column c is the XOR over registers i of whether digit_i(c) + 1 is
+    marked.  Built one register at a time: with register i the top
+    digit d, bits[d * N**(i-1) + c'] = marked[d] XOR the bits of the
+    registers below at c'.
     """
-    flips = 1 << np.arange(params.n_items, dtype=np.int64)
-    masks = np.zeros(1, dtype=np.int64)
-    for _ in range(params.n_samples):
-        masks = (flips[:, None] ^ masks[None, :]).reshape(-1)
-    masks.setflags(write=False)
-    return masks
+    marked = odd = pred.to_bools()
+    for _ in range(params.n_samples - 1):
+        odd = np.bitwise_xor.outer(marked, odd).ravel()
+    return odd
 
 
 def _live_rows(state: StateVector, params: SearchParameters) -> np.ndarray:
@@ -180,9 +177,10 @@ def _run_rows(state: StateVector, params: SearchParameters, pred: BooleanPredica
     # Steps 2a-2b make H^k|0> (x) |->: every amplitude of the lower row is
     # 2**(-(k+1)/2).
     lower.fill(2.0 ** (-(k + 1) / 2))
-    # Steps 3-5 kick the parity of the net incidence flips under step 4's
-    # controls into the phase, and leave the ancilla in |->.
-    sv.negate_where_odd(row, _occurrence_masks(params), pred.to_mask())
+    # Steps 3-5 kick the parity of step 3's incidence value under step 4's
+    # controls into the phase and leave the ancilla in |->: the row is
+    # negated where that bit is odd.
+    np.negative(lower, out=lower, where=_query_bits(params, pred))
     sv.apply_register_inversions(row, params.item_bits, params.n_samples)
     np.negative(lower, out=upper)
 
@@ -207,9 +205,11 @@ def run_circuit(
     upper row once, as its negation; like `measure_samples`, it reads and
     writes nothing else of the state.  Steps 2a-2b make a known state,
     H^k|0> (x) |-> with k = item_bits * n_samples: the run fills the lower
-    row with 2**(-(k+1)/2).  Steps 3-5, the query, negate it where step 3's
-    net incidence flips (an XOR keyed by the sample registers) reach a
-    value of odd parity under step 4's controls.  Step 6's reflections,
+    row with 2**(-(k+1)/2).  Steps 3-5, the query, negate it where the
+    incidence value step 3 writes has odd parity under step 4's controls:
+    the XOR over the registers of whether each register's item is marked,
+    so the bit of the column is the parity of the marked items in its
+    occurrence-parity set.  Step 6's reflections,
     one block I - 2J/N per register, go through the block kernel of
     `statevector`, which commutes with negation bit for bit.  Each step
     equals its records up to rounding and the sign of zeros, steps 3-5

@@ -141,6 +141,13 @@ class BooleanPredicate:
             mask |= 1 << (j - 1)
         return mask
 
+    def to_bools(self) -> np.ndarray:
+        """Whether each item is marked (index j-1 holds item j), built from
+        the marks alone.  N entries: call it only once the input is priced."""
+        marked = np.zeros(self.size, dtype=bool)
+        marked[np.fromiter(self.marks, np.int64, self.marked_count) - 1] = True
+        return marked
+
 
 @dataclass(frozen=True)
 class IncidenceVector:

@@ -5,10 +5,9 @@ search instance or its layout.  It has the primitives the search circuit
 needs: Hadamard, the (1,-1) phase gate, value-conditioned multi-controlled
 flips and phase flips, the inversion-about-average operator, marginal
 measurement, and state comparison modulo global phase.  The uncaptured
-circuit applies two fused primitives to one row of its state, a state
-of its own over the same memory: the query as a phase flip on that row
-(`negate_where_odd`), its one form, and a kernel of small real blocks,
-one inversion about average per register (`apply_register_inversions`).
+circuit applies one fused primitive to one row of its state, a state of
+its own over the same memory: a kernel of small real blocks, one
+inversion about average per register (`apply_register_inversions`).
 
 Conventions: qubit q is bit q of the basis-state integer index
 (least-significant-bit first).  In any ordered qubit list paired with a
@@ -16,9 +15,8 @@ value or a bit pattern, bit b of the value corresponds to the b-th
 qubit in the list.  Gates mutate the state in place and return it.
 
 Temporaries are bounded chunks, never a share of the state: a flip's
-slabs of 2**12 amplitudes, the blocks' scratch of 2**13 (BLAS calls of
-at most 2**12, one piece of 2**15 at a time), and the query's masks
-under its key and their parity bits for half a piece.  sigma_z and the
+slabs of 2**12 amplitudes and the blocks' scratch of 2**13 (BLAS calls
+of at most 2**12, one piece of 2**15 at a time).  sigma_z and the
 one-qubit Hadamard, one strided pass each, hold only NumPy's fixed
 buffers.
 Every pass runs on the calling thread.  The literal inversion about
@@ -53,8 +51,8 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _BLAS_AMPLITUDES = 1 << 12
 # Amplitudes per numpy call of the block kernel, a stack of BLAS calls.
 _BATCH_AMPLITUDES = 1 << 13
-# Amplitudes per piece for the blocks and the query: about a
-# level-2 cache, and enough to amortise the Python loop.
+# Amplitudes per piece for the blocks, half a piece per chunk for
+# measurement: about a level-2 cache, and enough to amortise the Python loop.
 _PIECE_AMPLITUDES = 1 << 15
 # A block widened to rows of at most this many floats beats the block
 # times short slices (see `_apply_block`).
@@ -263,48 +261,6 @@ def apply_register_inversions(state: StateVector, width: int, count: int) -> Sta
     if 1 << (2 * width) > _BLAS_AMPLITUDES:
         raise DomainError(f"a {width}-qubit register's block exceeds one BLAS call")
     _apply_blocks(state, [(i * width, width) for i in range(count)])
-    return state
-
-
-def _check_masks(masks: np.ndarray, width: int) -> tuple[np.ndarray, int]:
-    """`width` integer masks, each >= 0 and below 2**63, in their own
-    dtype, and the largest of them."""
-    masks = np.asarray(masks)
-    if masks.shape != (width,) or masks.dtype.kind not in "iu":
-        raise DomainError(f"need {width} integer masks, got {masks.dtype} {masks.shape}")
-    largest = int(masks.max())
-    if masks.min() < 0 or largest >> 63:
-        raise DomainError("masks must be >= 0 and below 2**63")
-    return masks, largest
-
-
-def negate_where_odd(state: StateVector, masks: np.ndarray, parity_key: int) -> StateVector:
-    """Negate the amplitude at each index c where masks[c] AND parity_key
-    has odd parity, in place, half a piece at a time: steps 3-5 of the
-    search, its one query, on its live row.
-
-    The row is where a register above it reads 0 and a qubit above that
-    (the ancilla) reads 0; the ancilla's other row is its negation, the
-    |-> that step 2b made.  The query maps the register from 0 to
-    masks[c], flips the ancilla where the value has odd parity under the
-    key, and maps back, so column c crosses to the other row exactly
-    where masks[c] has odd parity: there the row takes the other row's
-    amplitude, its own negated.  The key is cut to the largest mask's bit
-    length, so that a key of any size fits the masks' own integer dtype,
-    which no pass converts.  Each chunk holds its masks under the key and
-    their parity bits, at most 10 bytes per amplitude.
-    """
-    if parity_key < 0:
-        raise DomainError(f"parity key {parity_key} must be >= 0")
-    width = state.amplitudes.size
-    masks, largest = _check_masks(masks, width)
-    key = parity_key & ((1 << largest.bit_length()) - 1)
-    cols = max(_PIECE_AMPLITUDES // 2, 1)
-    for c in range(0, width, cols):
-        odd = np.bitwise_count(masks[c : c + cols] & key) & 1
-        chunk = state.amplitudes[c : c + cols]
-        # Each parity is 0 or 1, so its bytes are bools.
-        np.negative(chunk, out=chunk, where=odd.view(bool))
     return state
 
 

@@ -116,6 +116,23 @@ def matching_indices(n_qubits: int, controls, value: int, skip=None) -> np.ndarr
     return idx
 
 
+def query_parity_bits(n_items: int, n_samples: int, marks) -> np.ndarray:
+    """Steps 3-4 of the circuit by index, one column at a time in pure
+    Python: column c's base-N digits, low digit first, are the sample
+    registers' values; step 3 XORs the one-hot incidence bit of each
+    value v (bit v, item v+1) into the incidence register, and step 4
+    flips the ancilla where that value has odd parity under the marks."""
+    key = sum(1 << (j - 1) for j in marks)
+    bits = []
+    for c in range(n_items**n_samples):
+        incidence = 0
+        for _ in range(n_samples):
+            c, digit = divmod(c, n_items)
+            incidence ^= 1 << digit
+        bits.append(bin(incidence & key).count("1") & 1)
+    return np.array(bits, dtype=bool)
+
+
 def chi_square_statistic(observed, expected) -> tuple[float, int]:
     """Pearson's statistic and degrees of freedom over the cells expected > 0.
 

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import expected_full_state, peak_rss_growth
+from helpers import expected_full_state, peak_rss_growth, query_parity_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +28,8 @@ from paritysearch import (
 from paritysearch import statevector as sv
 from paritysearch.analytic import per_sample_distribution
 from paritysearch.circuit import (
-    _occurrence_masks,
+    _live_rows,
+    _query_bits,
     _register_marginals,
     _sample_marginal,
     apply_record,
@@ -202,26 +203,31 @@ class TestRunCircuit:
     @settings(deadline=None, max_examples=25)
     @given(seed=st.integers(0, 10_000), data=st.data())
     def test_occurrence_masks_match_step3_records(self, seed, data):
-        # Any input state, not only the circuit's: the step-3 flips map
-        # |h, c> to |h XOR masks[c], c>, the index oracle of the query
-        # pass's XOR with the cached masks.
+        # Any input state, not only the circuit's: the step-3 flips move
+        # the amplitude of |h, c> to |h XOR m(c), c>, m(c) the incidence
+        # value they write at column c, read here off their output.  The
+        # query's bit at column c is the parity of m(c) under the marks.
         n, max_eta = data.draw(st.sampled_from([(2, 4), (4, 2), (8, 1)]))
         eta = data.draw(st.integers(1, max_eta))
         params = SearchParameters(n, eta)
-        records = [r for r in build_circuit(params, BooleanPredicate.from_mask(n, 0))
-                   if r.step == "step3"]
+        pred = BooleanPredicate(n, data.draw(st.frozensets(st.integers(1, n))))
+        records = [r for r in build_circuit(params, pred) if r.step == "step3"]
         rng = np.random.default_rng(seed)
         size = 1 << params.total_qubits
         amps = rng.normal(size=size) + 1j * rng.normal(size=size)
         literal = StateVector(params.total_qubits, amps.copy())
         for record in records:
             apply_record(literal, record)
-        masks = _occurrence_masks(params)
-        assert not masks.flags.writeable
         low = params.item_bits * eta
+        # Row h = 0 of the output holds, at column c, row m(c) of the input.
+        found = amps.reshape(-1, 1 << low) == literal.amplitudes[: 1 << low]
+        assert (found.sum(axis=0) == 1).all()
+        masks = found.argmax(axis=0)
         i = np.arange(size)
         c = i & ((1 << low) - 1)
         assert np.array_equal(literal.amplitudes, amps[((i >> low) ^ masks[c]) << low | c])
+        odd = [bin(int(m) & pred.to_mask()).count("1") & 1 for m in masks]
+        assert np.array_equal(_query_bits(params, pred), np.array(odd, dtype=bool))
 
     def test_uncaptured_run_checks_before_allocating(self, monkeypatch):
         # The run derives its steps without the gate list, so it makes
@@ -294,13 +300,13 @@ QUERY_CASES = [
 
 
 class TestQueryPass:
-    """Steps 3-5 applied as a phase flip on the lower live row, the upper
-    row then written as its negation, change the same bytes as their
-    literal records, from any state whose live rows are a row x and -x
-    and whose other rows are zero, whatever the piece size."""
+    """Steps 3-5 applied as a negation of the lower live row where the
+    query's bits are odd, the upper row then written as its negation,
+    change the same bytes as their literal records, from any state whose
+    live rows are a row x and -x and whose other rows are zero."""
 
     @staticmethod
-    def literal_and_fused(n, eta, marks, seed, runs):
+    def literal_and_fused(n, eta, marks, seed):
         # The rows are where the incidence register reads 0, one per
         # ancilla value, as `run_circuit` finds them.
         params = SearchParameters(n, eta)
@@ -315,30 +321,21 @@ class TestQueryPass:
         for record in build_circuit(params, pred):
             if record.step in ("step3", "step4", "step5"):
                 apply_record(literal, record)
-        # The index oracle: the lower row negated where a column's net
-        # incidence flips meet the marks an odd number of times.
-        masks = _occurrence_masks(params)
-        odd = np.array([bin(int(m) & pred.to_mask()).count("1") & 1 for m in masks], dtype=bool)
+        # The index oracle: the lower row negated where a column's
+        # incidence value meets the marks an odd number of times.
+        odd = query_parity_bits(n, eta, marks)
         expected = np.where(odd, -start.amplitudes[: 1 << k], start.amplitudes[: 1 << k])
-        for _ in runs:
-            fused = start.copy()
-            lower, upper = fused.amplitudes.reshape(2, -1, 1 << k)[:, 0]
-            sv.negate_where_odd(StateVector(k, lower), masks, pred.to_mask())
-            np.negative(lower, out=upper)
-            assert np.array_equal(lower, expected)
-            assert np.array_equal(upper, -expected)
-            assert np.array_equal(fused.amplitudes, literal.amplitudes)
+        fused = start.copy()
+        lower, upper = fused.amplitudes.reshape(2, -1, 1 << k)[:, 0]
+        np.negative(lower, out=lower, where=_query_bits(params, pred))
+        np.negative(lower, out=upper)
+        assert np.array_equal(lower, expected)
+        assert np.array_equal(upper, -expected)
+        assert np.array_equal(fused.amplitudes, literal.amplitudes)
 
-    # Pieces of 2, 8 and 16 amplitudes cut even the smallest row into many
-    # chunks, down to one column each.
     @pytest.mark.parametrize("n, eta, marks", QUERY_CASES)
-    def test_matches_records(self, n, eta, marks, monkeypatch):
-        def runs():
-            for piece in (sv._PIECE_AMPLITUDES, 1 << 1, 1 << 3, 1 << 4):
-                monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-                yield
-
-        self.literal_and_fused(n, eta, marks, seed=n + eta, runs=runs())
+    def test_matches_records(self, n, eta, marks):
+        self.literal_and_fused(n, eta, marks, seed=n + eta)
 
     @settings(deadline=None, max_examples=30)
     @given(seed=st.integers(0, 10_000), data=st.data())
@@ -346,19 +343,37 @@ class TestQueryPass:
         n, max_eta = data.draw(st.sampled_from([(2, 6), (4, 3), (8, 2)]))
         eta = data.draw(st.integers(1, max_eta))
         marks = data.draw(st.frozensets(st.integers(1, n)))
-        piece = data.draw(st.sampled_from([1 << 1, 1 << 3, 1 << 4, 1 << 6, 1 << 15]))
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            self.literal_and_fused(n, eta, marks, seed, runs=[None])
+        self.literal_and_fused(n, eta, marks, seed)
 
-    def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
-        # Step 4 rides inside the lower row's phase flip: no flip runs on
-        # its own.
+    # Past 63 items an incidence value outgrows an int64; the bits never
+    # build one.  Registers of 7 qubits and more stay refused by step 6.
+    @pytest.mark.parametrize("n, eta", [(64, 2), (128, 1), (256, 2)])
+    def test_bits_past_63_items(self, n, eta):
+        marks = frozenset({1, 64, n} | set(range(2, n, 5)))
+        bits = _query_bits(SearchParameters(n, eta), BooleanPredicate(n, marks))
+        assert np.array_equal(bits, query_parity_bits(n, eta, marks))
+
+    def test_uncaptured_run_negates_the_lower_row_once(self, monkeypatch):
+        # Step 4 rides inside one negation of the lower row where the
+        # query's bits are odd: no flip runs, and the one other negation
+        # writes the upper row.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
-        negate = sv.negate_where_odd
-        monkeypatch.setattr(sv, "negate_where_odd", lambda *a: calls.append(a[2]) or negate(*a))
-        run_circuit(SearchParameters(4, 2), BooleanPredicate.from_marks(4, [1, 3]))
-        assert calls == [0b101]
+        negative = np.negative
+
+        def spy(x, out=None, where=True):
+            calls.append((out, where))
+            return negative(x, out=out, where=where)
+
+        monkeypatch.setattr(np, "negative", spy)
+        params, pred = SearchParameters(4, 2), BooleanPredicate.from_marks(4, [1, 3])
+        lower, upper = _live_rows(run_circuit(params, pred).final_state, params)
+        monkeypatch.undo()
+        assert len(calls) == 2
+        (query, bits), (write, everywhere) = calls
+        assert query.ctypes.data == lower.ctypes.data and query.shape == lower.shape
+        assert np.array_equal(bits, query_parity_bits(4, 2, {1, 3}))
+        assert write.ctypes.data == upper.ctypes.data and everywhere is True
 
 
 # A signalling NaN: arithmetic on it sets its quiet bit, so any pass that
@@ -431,24 +446,36 @@ class TestLiveRows:
 
     def test_rows_are_not_copied(self):
         # A 21-qubit search at N=2 (eta=18) holds a 32 MiB state whose two
-        # live rows are 4 MiB each.  With its masks cached, its peak RSS
-        # may grow past a warm-up with rows of one piece by less than the
-        # two rows plus a piece: a copy of the rows, as a state of their
-        # own, would double that.  The process turns transparent huge
-        # pages off for itself (prctl PR_SET_THP_DISABLE), so pages are
-        # counted as they are written, not rounded up to 2 MiB frames.
+        # live rows are 4 MiB each.  Its peak RSS may grow past a warm-up
+        # with rows of one piece by less than the two rows plus a piece: a
+        # copy of the rows, as a state of their own, would double that.
+        # The process turns transparent huge pages off for itself (prctl
+        # PR_SET_THP_DISABLE), so pages are counted as they are written,
+        # not rounded up to 2 MiB frames.
         growth = peak_rss_growth(
             "import ctypes\n"
             "assert ctypes.CDLL(None, use_errno=True).prctl(41, 1, 0, 0, 0) == 0\n"
             "from paritysearch import BooleanPredicate, SearchParameters, run_circuit\n"
-            "from paritysearch.circuit import _occurrence_masks\n"
             "pred = BooleanPredicate(2, frozenset({1}))\n"
             "run_circuit(SearchParameters(2, 15), pred)\n"
-            "params = SearchParameters(2, 18)\n"
-            "_occurrence_masks(params)",
+            "params = SearchParameters(2, 18)",
             "run_circuit(params, pred)",
         )
         assert growth < 2 * (16 << 18) + (16 << 15)
+
+    def test_run_keeps_no_row_sized_array(self):
+        # Once its result is dropped, a run at N=2, eta=18 leaves nothing
+        # allocated as large as one byte per column of its rows: nothing
+        # of the query is kept between runs.
+        params, pred = SearchParameters(2, 18), BooleanPredicate(2, frozenset({1}))
+        tracemalloc.start()
+        try:
+            run = run_circuit(params, pred)
+            del run
+            current, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert current < 1 << 18
 
 
 def live_row_state(params: SearchParameters, rng: np.random.Generator) -> StateVector:

@@ -26,6 +26,7 @@ from paritysearch import (
     run_circuit,
 )
 from paritysearch import statevector as sv
+from paritysearch.circuit import _query_bits
 from paritysearch.statevector import (
     FIDELITY_ATOL,
     NORM_ATOL,
@@ -37,7 +38,6 @@ from paritysearch.statevector import (
     apply_value_controlled_phase,
     fidelity_mod_phase,
     marginal_distribution,
-    negate_where_odd,
     zero_state,
 )
 
@@ -49,33 +49,6 @@ def random_state(n_qubits: int, seed: int) -> StateVector:
     amps = rng.normal(size=1 << n_qubits) + 1j * rng.normal(size=1 << n_qubits)
     amps /= np.linalg.norm(amps)
     return StateVector(n_qubits, amps)
-
-
-def row_pair(state: StateVector, low: int) -> np.ndarray:
-    """Rows 0 and half of the state cut into rows of 2**low amplitudes,
-    the pair h = 0 across the top qubit, as a view of its memory: where a
-    search keeps its two live rows."""
-    return state.amplitudes.reshape(2, -1, 1 << low)[:, 0]
-
-
-def minus_pair_state(n_qubits: int, low: int, seed: int) -> StateVector:
-    """A state random on the lower row of its pair h = 0 (see `row_pair`),
-    that row negated on the upper one, and zero elsewhere: a search's
-    state while its top qubit, the ancilla, is in |->."""
-    state = random_state(n_qubits, seed)
-    state.amplitudes.reshape(2, -1, 1 << low)[:, 1:] = 0.0
-    lower, upper = row_pair(state, low)
-    np.negative(lower, out=upper)
-    return state
-
-
-def query_on_row(state: StateVector, low: int, masks, key: int) -> None:
-    """The query as a search applies it to its pair h = 0: the lower row
-    negated where the masks under the key have odd parity, then the upper
-    row written as the lower one negated."""
-    lower, upper = row_pair(state, low)
-    negate_where_odd(StateVector(low, lower), masks, key)
-    np.negative(lower, out=upper)
 
 
 class TestZeroState:
@@ -283,7 +256,7 @@ class TestGatesAgainstIndexOracle:
 
 
 class TestFusedPrimitives:
-    """The fused passes against one gate at a time and an index oracle."""
+    """The block kernel against one gate at a time."""
 
     @staticmethod
     def literal_inversion(state, register, reference):
@@ -363,56 +336,6 @@ class TestFusedPrimitives:
             with pytest.raises(DomainError):
                 apply_register_inversions(zero_state(n), width, count)
 
-    @settings(deadline=None, max_examples=80)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_xor_permutation_matches_index_oracle(self, seed, data):
-        n, low, key = self.draw_query(data, 8)
-        dtype = data.draw(st.sampled_from([np.int64, np.uint64, np.uint8]))
-        self.check_query_pass(n, low, key, dtype, seed)
-
-    # With pieces of 8 or 16 amplitudes the lower row goes in several
-    # chunks of a few columns; with the default piece, in one.
-    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_query_pass_matches_index_oracle(self, piece, seed, data):
-        n, low, key = self.draw_query(data, 9)
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            self.check_query_pass(n, low, key, np.int64, seed)
-
-    @staticmethod
-    def draw_query(data, most_qubits):
-        """Qubits, low qubits below at least one high qubit, and a parity
-        key below the top qubit."""
-        n = data.draw(st.integers(1, most_qubits))
-        low = data.draw(st.integers(0, n - 1))
-        return n, low, data.draw(st.integers(0, (1 << (n - low - 1)) - 1))
-
-    # The pass maps, flips the top qubit where the high bits under the key
-    # have odd parity, and maps again.
-    @staticmethod
-    def query_oracle(state, low, masks, key) -> np.ndarray:
-        n = state.n_qubits
-        index = np.arange(1 << n)
-        c, h = index & ((1 << low) - 1), index >> low
-        xor = ((h ^ masks[c]) << low) | c
-        top = 1 << (n - 1)
-        odd = np.array([bin(x & key).count("1") & 1 for x in h])
-        return state.amplitudes[xor][np.where(odd, index ^ top, index)][xor]
-
-    @classmethod
-    def check_query_pass(cls, n, low, key, dtype, seed):
-        """`query_on_row` on the pair h = 0 of an n-qubit state that holds
-        a random row and its negation on that pair and zero elsewhere,
-        against the oracle on the whole state."""
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 1 << (n - low), size=1 << low)
-        state = minus_pair_state(n, low, seed)
-        expected = cls.query_oracle(state, low, masks, key)
-        query_on_row(state, low, masks.astype(dtype), key)
-        assert np.array_equal(state.amplitudes, expected)
-
-
 def sparse_state() -> StateVector:
     """18 qubits, eight pieces of the block kernel: random amplitudes in
     the first, a middle and the last piece, -0.0 in piece 5, +0.0 in
@@ -480,107 +403,29 @@ class TestLiveAmplitudes:
         assert growth < (16 << 21) // 4
 
 
-class TestRowPair:
-    """The query's phase flip on one row of a pair across a qubit whose
-    other row is its negation: the pair's swaps, on one row."""
-
-    # The pair is rows 0 and 8 of 16 (4 high qubits): with no other row
-    # live, the index oracle of the query on the whole state moves only
-    # that pair's amplitudes, and leaves the upper row the lower one
-    # negated.  Pieces of 8 and 16 amplitudes cut its 2**low columns into
-    # many chunks.
-    @pytest.mark.parametrize("piece", [1 << 3, 1 << 4, 1 << 15])
-    @settings(deadline=None, max_examples=30)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_swap_where_odd_is_the_query_on_row_pair_zero(self, piece, seed, data):
-        low = data.draw(st.integers(0, 9))
-        key = data.draw(st.integers(0, 7))
-        rng = np.random.default_rng(seed)
-        masks = rng.integers(0, 16, size=1 << low)
-        state = minus_pair_state(low + 4, low, seed)
-        grid = TestFusedPrimitives.query_oracle(state, low, masks, key).reshape(16, -1)
-        lower = StateVector(low, row_pair(state, low)[0].copy())
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", piece):
-            negate_where_odd(lower, masks, key)
-        assert np.array_equal(lower.amplitudes, grid[0])
-        assert np.array_equal(np.negative(lower.amplitudes), grid[8])
-
-    def test_swap_where_odd_reads_only_the_masks_bits(self):
-        # Key bits above the largest mask change nothing.
-        state = random_state(3, seed=1)
-        masks = np.array([0, 1, 2, 3, 0, 1, 2, 3])
-        negate_where_odd(state, masks, 0b1110)
-        expected = random_state(3, seed=1).amplitudes
-        odd = np.array([0, 0, 1, 1, 0, 0, 1, 1], dtype=bool)
-        expected[odd] = -expected[odd]
-        assert np.array_equal(state.amplitudes, expected)
-
-    def test_pair_gates_reject_bad_arguments(self):
-        with pytest.raises(DomainError, match="parity key"):
-            negate_where_odd(zero_state(2), np.zeros(4, dtype=int), -1)
-        for masks in (np.zeros(3, dtype=int), np.zeros(4), np.array([0, -1, 2, 3]),
-                      np.array([0, 1, 2, 1 << 63], dtype=np.uint64)):
-            with pytest.raises(DomainError, match="masks"):
-                negate_where_odd(zero_state(2), masks, 1)
-
-
 class TestXorWorkers:
-    """The query runs in the calling thread and starts no worker; it
-    divides its row into chunks of half a piece.  How it divides
-    them changes no byte, and passes in other threads do not disturb it."""
-
-    # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
-    LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
-
-    # Pieces of 2**9 amplitudes cut the row of every layout into many
-    # chunks; the default piece into fewer, or one.  Both match the index
-    # oracle.
-    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
-    def test_split_is_exact(self, n_items, eta, monkeypatch):
-        params = SearchParameters(n_items, eta)
-        low = params.item_bits * eta
-        rng = np.random.default_rng(eta)
-        masks = rng.integers(0, 1 << (params.total_qubits - low), size=1 << low)
-        key = int(rng.integers(1 << n_items))
-        expected = TestFusedPrimitives.query_oracle(
-            minus_pair_state(params.total_qubits, low, eta), low, masks, key
-        )
-        for piece in (sv._PIECE_AMPLITUDES, 1 << 9):
-            monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", piece)
-            state = minus_pair_state(params.total_qubits, low, eta)
-            query_on_row(state, low, masks, key)
-            assert np.array_equal(state.amplitudes, expected)
-
-    # With pieces of 2 amplitudes every chunk is one amplitude pair.
-    @settings(deadline=None, max_examples=40)
-    @given(seed=st.integers(0, 10_000), data=st.data())
-    def test_split_in_small_pieces(self, seed, data):
-        n, low, key = TestFusedPrimitives.draw_query(data, 9)
-        with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 1):
-            TestFusedPrimitives.check_query_pass(n, low, key, np.int64, seed)
+    """A search runs in the calling thread and starts no worker, and
+    searches in other threads do not disturb it."""
 
     def test_split_under_fast_thread_switches(self, monkeypatch):
-        # Two threads run the query on states of their own while the
-        # interpreter switches threads every microsecond.  With pieces of
-        # 8 amplitudes the lower half of a 12-qubit state takes 512
-        # chunks; any state shared between the calls would break equality
-        # with the one-thread result.
+        # Two threads run searches of their own while the interpreter
+        # switches threads every microsecond.  With pieces of 8
+        # amplitudes step 6 takes the 2**10 amplitudes of the lower row
+        # in 128 pieces, after the query's bits grew over ten registers;
+        # any state shared between the runs would break equality with the
+        # one-thread result.
         monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 3)
-        n = 12
-        masks = np.random.default_rng(5).integers(0, 1 << 10, size=1 << (n - 1))
+        params, pred = SearchParameters(2, 10), BooleanPredicate(2, frozenset({1}))
 
-        def queried():
-            state = minus_pair_state(n, n - 1, seed=5)
-            query_on_row(state, n - 1, masks, 1)
-            return state
+        def searched():
+            return run_circuit(params, pred).final_state.amplitudes
 
-        expected = queried()
+        expected = searched()
         results = []
 
         def run():
             for _ in range(20):
-                state = queried()
-                results.append(np.array_equal(state.amplitudes, expected.amplitudes))
+                results.append(np.array_equal(searched(), expected))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -603,11 +448,11 @@ class TestMemoryContract:
     through fixed buffers of 3 x 8192 amplitudes (384 KiB), more than a
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
-    8192 (128 KiB); the query holds, for a chunk of half a piece (2**14
-    amplitudes), the int64 masks under the key and their uint8 parity
-    bits, and negates in place: at most 10 bytes per amplitude, 160 KiB,
-    whichever amplitudes it negates (161 KiB traced), and writing the
-    upper row as the lower one negated holds nothing.
+    8192 (128 KiB).  A search's query holds its bits, one byte per
+    amplitude of its row, with the half as many of the registers below
+    while it builds them, and negates in place: 384 KiB on a row of the
+    whole state at N=2 (386 KiB traced), whichever amplitudes it negates,
+    and writing the upper row as the lower one negated holds nothing.
     Fixed bounds leave room for the Python objects made per call.
     """
 
@@ -670,71 +515,54 @@ class TestMemoryContract:
         peak = self.traced_peak(lambda: apply_register_inversions(state, width, count))
         assert peak <= self.BUFFER_BOUND
 
-    # The row pair h = 0 of the state cut into rows of 2**low amplitudes,
-    # as a search's rows lie in its state: two chunks of half a piece at
-    # low=15, part of one at low=9 and low=3.  Each case runs several times.
-    def check_query_pass(self, state, low, keys):
-        masks = np.arange(1 << low) % (1 << (self.N_QUBITS - low))
-        for key in keys:
+    # The query of a search at N=2 with `low` registers, on the first
+    # 2**low amplitudes of the state as its lower row: at N=2 the bits
+    # grow by half with each register, the most for their size.  Each
+    # case runs several times.
+    def check_query(self, state, low, marked_sets):
+        params = SearchParameters(2, low)
+        row = state.amplitudes[: 1 << low]
+        for marks in marked_sets:
+            pred = BooleanPredicate(2, frozenset(marks))
             for _ in range(self.QUERY_REPEATS):
-                peak = self.traced_peak(lambda: query_on_row(state, low, masks, key))
+                peak = self.traced_peak(
+                    lambda: np.negative(row, out=row, where=_query_bits(params, pred)))
                 assert peak <= self.QUERY_BOUND
 
-    # Key 0 negates no column: the query is the XOR permutation and its inverse.
+    # Nothing marked: the query is step 3's XOR permutation and its inverse.
     @pytest.mark.parametrize("low", [15, 9, 3])
     def test_xor_permutation(self, state, low):
-        self.check_query_pass(state, low, (0,))
+        self.check_query(state, low, [()])
 
-    @pytest.mark.parametrize("low", [15, 9, 3])
+    # At low=18 the row is the whole state, a 21-qubit search's (eta=18).
+    @pytest.mark.parametrize("low", [18, 15, 9, 3])
     def test_query_pass(self, state, low):
-        high = 1 << (self.N_QUBITS - low)
-        keys = (1, 0x5555 & (high // 2 - 1), high // 2 - 1)
-        self.check_query_pass(state, low, keys)
+        self.check_query(state, low, [(1,), (2,), (1, 2)])
 
-    # The two halves of the state as a row pair: the query on the lower
-    # half holds one chunk's temporaries.
+    # The two halves of the state as a search's live rows (N=2, eta=17):
+    # the query on the lower half, then the upper written as its negation.
     def test_row_pair(self, state):
-        masks = np.arange(1 << (self.N_QUBITS - 1)) % (1 << 10)
-        for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(
-                lambda: query_on_row(state, self.N_QUBITS - 1, masks, 0x155))
-            assert peak <= self.QUERY_BOUND
+        params, pred = SearchParameters(2, 17), BooleanPredicate(2, frozenset({1}))
+        lower, upper = state.amplitudes.reshape(2, -1)
 
-    # Masks of other integer dtypes are read in their own dtype a chunk at
-    # a time, on a row of the whole state: no copy of them as int64 (2 MiB).
-    @pytest.mark.parametrize("dtype", [np.uint64, np.uint8])
-    def test_query_pass_with_unsigned_masks(self, state, dtype):
-        masks = (np.arange(state.amplitudes.size) % 256).astype(dtype)
-        for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: negate_where_odd(state, masks, 0x155))
-            assert peak <= self.QUERY_BOUND
+        def query():
+            np.negative(lower, out=lower, where=_query_bits(params, pred))
+            np.negative(lower, out=upper)
 
-    def test_query_pass_with_wide_masks(self):
-        # Masks below 2**26 on a row of 2**10 amplitudes: each mask's
-        # parity under the key comes from the mask itself, whatever its
-        # size, and matches bin()'s count of its bits.
-        rng = np.random.default_rng(4)
-        masks = rng.integers(0, 1 << 26, size=1 << 10)
-        masks[0] = (1 << 26) - 1
-        key = 0x2AAAAAA | 1 << 70
-        row = random_state(10, seed=5)
-        negate_where_odd(row, masks, key)
-        odd = np.array([bin(int(m) & key).count("1") & 1 for m in masks], dtype=bool)
-        expected = random_state(10, seed=5).amplitudes
-        expected[odd] = -expected[odd]
-        assert np.array_equal(row.amplitudes, expected)
         for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: negate_where_odd(row, masks, key))
-            assert peak <= self.QUERY_BOUND
+            assert self.traced_peak(query) <= self.QUERY_BOUND
 
     def test_xor_permutation_below_a_small_state(self):
-        # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece.
-        n, low = 15, 6
-        state = random_state(n, seed=2)
-        masks = np.arange(1 << low) % (1 << (n - low))
+        # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece;
+        # the query holds bits for its row of 64 amplitudes, nothing of
+        # the state's size.
+        state = random_state(15, seed=2)
+        params, pred = SearchParameters(8, 2), BooleanPredicate(8, frozenset())
+        row = state.amplitudes[:64]
         for _ in range(self.QUERY_REPEATS):
-            peak = self.traced_peak(lambda: query_on_row(state, low, masks, 0x55))
-            assert peak < state.amplitudes.nbytes
+            peak = self.traced_peak(
+                lambda: np.negative(row, out=row, where=_query_bits(params, pred)))
+            assert peak < state.amplitudes.nbytes // 64
 
 
 class TestInversionAboutAverage:
