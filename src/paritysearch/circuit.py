@@ -156,10 +156,10 @@ def _query_bits(params: SearchParameters, pred: BooleanPredicate) -> np.ndarray:
     digit d, bits[d * N**(i-1) + c'] = marked[d] XOR the bits of the
     registers below at c'.
     """
-    marked = odd = pred.to_bools()
+    marked = bits = pred.to_bools()
     for _ in range(params.n_samples - 1):
-        odd = np.bitwise_xor.outer(marked, odd).ravel()
-    return odd
+        bits = np.bitwise_xor.outer(marked, bits).ravel()
+    return bits
 
 
 def _live_rows(state: StateVector, params: SearchParameters) -> np.ndarray:
@@ -209,12 +209,12 @@ def run_circuit(
     incidence value step 3 writes has odd parity under step 4's controls:
     the XOR over the registers of whether each register's item is marked,
     so the bit of the column is the parity of the marked items in its
-    occurrence-parity set.  Step 6's reflections,
-    one block I - 2J/N per register, go through the block kernel of
-    `statevector`, which commutes with negation bit for bit.  Each step
-    equals its records up to rounding and the sign of zeros, steps 3-5
-    exactly.  Both runs check the predicate size and the capacity for the
-    states they keep before they allocate.
+    occurrence-parity set.  Step 6's reflections, one block I - 2J/N per
+    register, go through the block kernel of `statevector`, which
+    commutes with negation bit for bit.  Each step equals its records up
+    to rounding and the sign of zeros, steps 3-5 exactly.  Both runs
+    check the predicate size and the capacity for the states they keep
+    before they allocate.
     """
     _check_instance(params, pred, copies=7 if capture else 1)
     state = sv.zero_state(params.total_qubits)

@@ -3,7 +3,6 @@
 import math
 import tracemalloc
 from collections import Counter
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -353,10 +352,10 @@ class TestQueryPass:
         bits = _query_bits(SearchParameters(n, eta), BooleanPredicate(n, marks))
         assert np.array_equal(bits, query_parity_bits(n, eta, marks))
 
-    def test_uncaptured_run_negates_the_lower_row_once(self, monkeypatch):
-        # Step 4 rides inside one negation of the lower row where the
-        # query's bits are odd: no flip runs, and the one other negation
-        # writes the upper row.
+    def test_uncaptured_run_makes_one_xor_call(self, monkeypatch):
+        # Step 3's XORs and step 4 ride inside one call, a negation of the
+        # lower row where the query's bits are odd: no flip runs, and the
+        # one other negation writes the upper row.
         calls = []
         monkeypatch.setattr(sv, "apply_value_controlled_flip", lambda *a: calls.append("flip"))
         negative = np.negative

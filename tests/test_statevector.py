@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from helpers import matching_indices, peak_rss_growth
+from helpers import matching_indices, peak_rss_growth, query_parity_bits
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -404,8 +404,37 @@ class TestLiveAmplitudes:
 
 
 class TestXorWorkers:
-    """A search runs in the calling thread and starts no worker, and
-    searches in other threads do not disturb it."""
+    """A search runs in the calling thread and starts no worker; step 6
+    divides its row into pieces.  How it divides them changes no byte,
+    and searches in other threads do not disturb it."""
+
+    # (N, eta): 17 qubits (four pieces), 18, 19 and 20.
+    LAYOUTS = [(2, 14), (4, 6), (8, 3), (4, 7), (2, 17)]
+
+    @staticmethod
+    def searched(n, eta, marks) -> bytes:
+        return run_circuit(SearchParameters(n, eta), BooleanPredicate(n, frozenset(marks))
+                           ).final_state.amplitudes.tobytes()
+
+    # Pieces of 2**9 amplitudes cut the row of every layout into many
+    # pieces; the default piece into fewer, or one.
+    @pytest.mark.parametrize("n_items, eta", LAYOUTS)
+    def test_split_is_exact(self, n_items, eta, monkeypatch):
+        marks = range(1, n_items + 1, 3)
+        expected = self.searched(n_items, eta, marks)
+        monkeypatch.setattr(sv, "_PIECE_AMPLITUDES", 1 << 9)
+        assert self.searched(n_items, eta, marks) == expected
+
+    # With pieces of 2 amplitudes every piece is one amplitude pair.
+    @settings(deadline=None, max_examples=40)
+    @given(data=st.data())
+    def test_split_in_small_pieces(self, data):
+        n, max_eta = data.draw(st.sampled_from([(2, 8), (4, 4), (8, 2), (16, 1)]))
+        eta = data.draw(st.integers(1, max_eta))
+        marks = data.draw(st.frozensets(st.integers(1, n)))
+        expected = self.searched(n, eta, marks)
+        with mock.patch.object(sv, "_PIECE_AMPLITUDES", 1 << 1):
+            assert self.searched(n, eta, marks) == expected
 
     def test_split_under_fast_thread_switches(self, monkeypatch):
         # Two threads run searches of their own while the interpreter
@@ -551,6 +580,21 @@ class TestMemoryContract:
 
         for _ in range(self.QUERY_REPEATS):
             assert self.traced_peak(query) <= self.QUERY_BOUND
+
+    def test_query_pass_with_wide_masks(self, state):
+        # N=64, eta=3 on a row of the whole state: the incidence value
+        # step 3 writes reaches bit 63, item 64, past an int64.  The bits
+        # never build it, and match the index oracle of its parity.
+        params, marks = SearchParameters(64, 3), frozenset({1, 2, 33, 64})
+        pred = BooleanPredicate(64, marks)
+        row = state.amplitudes
+        expected = np.where(query_parity_bits(64, 3, marks), -row, row)
+        np.negative(row, out=row, where=_query_bits(params, pred))
+        assert np.array_equal(row, expected)
+        for _ in range(self.QUERY_REPEATS):
+            peak = self.traced_peak(
+                lambda: np.negative(row, out=row, where=_query_bits(params, pred)))
+            assert peak <= self.QUERY_BOUND
 
     def test_xor_permutation_below_a_small_state(self):
         # N=8, eta=2: 6 sample qubits under 9 more, a state of one piece;
