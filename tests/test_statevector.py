@@ -478,8 +478,8 @@ class TestMemoryContract:
     quarter of a 16-qubit state but not of this one.  Flips hold two
     buffers of 4096 amplitudes (128 KiB) and the blocks one scratch of
     8192 (128 KiB).  A search's query holds its bits, one byte per
-    amplitude of its row, with the half as many of the registers below
-    while it builds them, and negates in place: 384 KiB on a row of the
+    amplitude of its row, and while it builds them those of the registers
+    below, at most half as many; it negates in place: 384 KiB on a row of the
     whole state at N=2 (386 KiB traced), whichever amplitudes it negates,
     and writing the upper row as the lower one negated holds nothing.
     Fixed bounds leave room for the Python objects made per call.
